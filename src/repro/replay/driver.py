@@ -4,7 +4,8 @@
 pulls requests from a (lazy) stream, keeps at most ``max_in_flight`` of
 them admitted at once, optionally paces submissions to an open-loop
 arrival rate, and records what production dashboards would: client-side
-latency percentiles, result-cache and coalescing hit rates, admission
+latency percentiles, result-cache and coalescing hit rates (plus the
+process pool's parent-side result cache), admission
 rejections, and deadline misses.
 
 The in-flight window serves two purposes.  It bounds memory — the
@@ -49,6 +50,9 @@ class ReplayReport:
     latency_ms: Dict[str, float] = field(default_factory=dict)
     cache: Dict[str, float] = field(default_factory=dict)
     coalesce: Dict[str, float] = field(default_factory=dict)
+    #: the process pool's parent-side result cache (size, capacity,
+    #: hits); empty for backends without one
+    result_cache: Dict[str, int] = field(default_factory=dict)
 
     @property
     def throughput_rps(self) -> float:
@@ -81,6 +85,7 @@ class ReplayReport:
             "latency_ms": dict(self.latency_ms),
             "cache": dict(self.cache),
             "coalesce": dict(self.coalesce),
+            "result_cache": dict(self.result_cache),
         }
 
 
@@ -182,4 +187,5 @@ def run_replay(
         "misses": int(coalesce.get("misses", 0)),
         "hit_rate": float(coalesce.get("hit_rate", 0.0)),
     }
+    report.result_cache = dict(scheduler_section.get("result_cache", {}))
     return report

@@ -17,8 +17,8 @@ builds the chain for *this* request:
 Budget weights are the predicted runtimes bucketed to powers of two,
 so each feasible stage's deadline share scales with how long it is
 expected to need — while small online drifts of the model leave the
-weights (and hence the routed policy key and the service's result
-cache) untouched once predictions are roughly converged.
+weights (and hence the routed policy key) untouched once predictions
+are roughly converged.
 
 By construction the router never puts a predicted-infeasible stage
 first while a predicted-feasible candidate exists — that is the
@@ -58,8 +58,8 @@ def _weight_bucket(predicted_ms: float) -> float:
     """Power-of-two bucket of a predicted runtime (budget weight).
 
     Buckets quantize predictions to within ±41%, so the routed policy
-    — and the result-cache key derived from it — stays bit-stable
-    under the small per-observation weight drift of online learning,
+    stays bit-stable under the small per-observation weight drift of
+    online learning,
     while still giving slow stages proportionally bigger deadline
     shares.
     """

@@ -30,6 +30,15 @@ Design decisions worth knowing:
 * **Round-robin dispatch over per-worker queues** — deterministic
   assignment, and a dedicated control lane for stats polls and the
   graceful-shutdown sentinel (queued work always drains first).
+* **Parent-side result cache** — a bounded LRU
+  (``ServiceConfig.result_capacity`` entries) keyed by the coalesce
+  key :meth:`submit` already computes.  The collector stores every
+  worker answer the service itself would cache (``ok``, not
+  deadline-truncated, positive deadline); a repeat is then answered
+  inside :meth:`submit` with ``cache_hit=True`` — no JSON encode, no
+  IPC, no adapter rebuild in a worker.  Parent hits are counted under
+  the worker's metric names so the merged report stays exact.
+  ``coalesce=False`` computes no key and therefore bypasses it.
 """
 
 from __future__ import annotations
@@ -38,15 +47,22 @@ import multiprocessing
 import os
 import queue as queue_mod
 import threading
+import time
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import serialization
 from repro.exceptions import ConfigurationError, SolverError, WorkerCrashError
-from repro.service.cache import merge_cache_stats
+from repro.service.cache import LruSection, merge_cache_stats
 from repro.service.chain import StageSpec, default_policy, parse_policy
-from repro.service.core import OptimizationService, SchedulerBase, coalesce_key
+from repro.service.core import (
+    OptimizationService,
+    SchedulerBase,
+    coalesce_key,
+    record_arrival,
+    record_served,
+)
 from repro.service.metrics import merge_metric_states
 from repro.service.request import OptimizationRequest, OptimizationResult
 
@@ -255,10 +271,14 @@ class ProcessPoolScheduler(SchedulerBase):
 
         self._result_queue = ctx.Queue()
         self._task_queues = [ctx.Queue() for _ in range(self.workers)]
-        #: task_id -> (future, target worker, serialized request, retries).
-        #: The payload stays here so a request stranded on a crashed
-        #: worker can be re-enqueued verbatim on a live one.
-        self._pending: Dict[int, Tuple[Future, int, str, int]] = {}
+        #: task_id -> (future, target worker, serialized request, retries,
+        #: result-cache key or None).  The payload stays here so a
+        #: request stranded on a crashed worker can be re-enqueued
+        #: verbatim on a live one.
+        self._pending: Dict[int, Tuple[Future, int, str, int, Optional[str]]] = {}
+        #: parent-side result cache: coalesce key -> a worker's answer
+        #: (guarded by the scheduler lock: LruSection is not thread-safe)
+        self._results = LruSection(self.config.result_capacity)
         self._stats_waiters: Dict[int, Future] = {}
         self._next_task = 0
         self._round_robin = 0
@@ -332,6 +352,12 @@ class ProcessPoolScheduler(SchedulerBase):
             )
         section = self._scheduler_section()
         section["start_method"] = self.start_method
+        with self._lock:
+            section["result_cache"] = {
+                "size": len(self._results.entries),
+                "capacity": self._results.capacity,
+                "hits": self._results.hits,
+            }
         section["per_worker"] = [
             {
                 "worker": state.get("worker"),
@@ -364,7 +390,32 @@ class ProcessPoolScheduler(SchedulerBase):
         self._fail_outstanding("process pool shut down")
 
     # ------------------------------------------------------------------
-    def _dispatch(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
+    def _cached_result(
+        self, request: OptimizationRequest, key: str, start: float
+    ) -> Optional[OptimizationResult]:
+        # called under the scheduler lock (see SchedulerBase.submit)
+        if self._closed:
+            return None  # _dispatch raises, whatever the cache holds
+        stored = self._results.get(key)
+        if stored is None:
+            # not counted: the worker records its own lookup
+            return None
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        metrics = self.scheduler_metrics
+        record_arrival(metrics, request.kind)
+        metrics.incr("cache.result_hits")
+        record_served(metrics, stored.served_by, stored.deadline_exceeded, elapsed_ms)
+        return replace(
+            stored,
+            request_id=request.request_id,
+            plan=dict(stored.plan),
+            cache_hit=True,
+            elapsed_ms=elapsed_ms,
+        )
+
+    def _dispatch(
+        self, request: OptimizationRequest, key: Optional[str]
+    ) -> "Future[OptimizationResult]":
         # called under the scheduler lock (see SchedulerBase.submit)
         if self._closed:
             raise ConfigurationError("scheduler is shut down")
@@ -378,7 +429,8 @@ class ProcessPoolScheduler(SchedulerBase):
             )
             return future
         payload = serialization.dumps(request, indent=None)
-        self._pending[task_id] = (future, target, payload, 0)
+        cache_key = key if request.deadline_ms > 0 else None
+        self._pending[task_id] = (future, target, payload, 0, cache_key)
         self._task_queues[target].put(("request", task_id, payload))
         return future
 
@@ -441,7 +493,20 @@ class ProcessPoolScheduler(SchedulerBase):
             elif tag == "result":
                 entry = self._pending.pop(ident, None)
                 if entry is not None:
-                    entry[0].set_result(serialization.loads(payload))
+                    result = serialization.loads(payload)
+                    cache_key = entry[4]
+                    if (
+                        cache_key is not None
+                        and result.status == "ok"
+                        and not result.deadline_exceeded
+                    ):
+                        # stored before the future resolves, so a repeat
+                        # submitted once this answer is out always hits
+                        with self._lock:
+                            self._results.put(
+                                cache_key, replace(result, plan=dict(result.plan))
+                            )
+                    entry[0].set_result(result)
             elif tag == "error":
                 entry = self._pending.pop(ident, None)
                 if entry is not None:
@@ -476,16 +541,22 @@ class ProcessPoolScheduler(SchedulerBase):
                 f"worker {index} (pid {process.pid}) died with exit code "
                 f"{process.exitcode}"
             )
-            for task_id, (future, _target, payload, retries) in stranded:
-                self._requeue(task_id, future, payload, retries, reason)
+            for task_id, (future, _target, payload, retries, key) in stranded:
+                self._requeue(task_id, future, payload, retries, key, reason)
 
     def _requeue(
-        self, task_id: int, future: Future, payload: str, retries: int, reason: str
+        self,
+        task_id: int,
+        future: Future,
+        payload: str,
+        retries: int,
+        key: Optional[str],
+        reason: str,
     ) -> None:
         with self._lock:
             target = None if retries >= 1 else self._pick_worker()
             if target is not None:
-                self._pending[task_id] = (future, target, payload, retries + 1)
+                self._pending[task_id] = (future, target, payload, retries + 1, key)
         if target is None:
             future.set_exception(
                 WorkerCrashError(f"request abandoned: {reason}")

@@ -23,10 +23,10 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional
 
-__all__ = ["CompilationCache", "merge_cache_stats"]
+__all__ = ["CompilationCache", "LruSection", "merge_cache_stats"]
 
 
-class _LruSection:
+class LruSection:
     """One bounded LRU map (not thread-safe on its own)."""
 
     def __init__(self, capacity: int) -> None:
@@ -65,8 +65,8 @@ class CompilationCache:
 
     def __init__(self, compiled_capacity: int = 256, result_capacity: int = 1024) -> None:
         self._lock = threading.Lock()
-        self._compiled = _LruSection(compiled_capacity)
-        self._results = _LruSection(result_capacity)
+        self._compiled = LruSection(compiled_capacity)
+        self._results = LruSection(result_capacity)
 
     # -- compiled adapters ---------------------------------------------
     def get_compiled(self, fingerprint: str) -> Optional[Any]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from threading import RLock
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +35,36 @@ from repro.service.request import (
     problem_to_dict,
 )
 
-__all__ = ["BatchScheduler", "OptimizationService", "SchedulerBase", "coalesce_key"]
+__all__ = [
+    "BatchScheduler",
+    "OptimizationService",
+    "SchedulerBase",
+    "coalesce_key",
+    "record_arrival",
+    "record_served",
+]
+
+
+def record_arrival(metrics: Metrics, kind: str) -> None:
+    """Count one request entering the service (served or not)."""
+    metrics.incr("requests_total")
+    metrics.incr(f"requests_kind.{kind}")
+
+
+def record_served(
+    metrics: Metrics, served_by: str, deadline_exceeded: bool, elapsed_ms: float
+) -> None:
+    """Count one answered request and observe its latency.
+
+    Shared by the service and the process pool's parent-side result
+    cache, so a request answered in either place lands under the same
+    counter names in the merged report.
+    """
+    metrics.incr("requests_ok")
+    metrics.incr(f"served_by.{served_by}")
+    if deadline_exceeded:
+        metrics.incr("deadline_exceeded")
+    metrics.observe("latency_ms", elapsed_ms)
 
 
 def coalesce_key(
@@ -99,8 +129,7 @@ class OptimizationService:
     def optimize(self, request: OptimizationRequest) -> OptimizationResult:
         """Serve one request: best-effort plan within its deadline."""
         start = time.perf_counter()
-        self.metrics.incr("requests_total")
-        self.metrics.incr(f"requests_kind.{request.kind}")
+        record_arrival(self.metrics, request.kind)
 
         adapter = self._compiled_adapter(request)
         root_seed = self.seed if request.seed is None else int(request.seed)
@@ -118,9 +147,18 @@ class OptimizationService:
             # seed matches the unrouted run and the plan is
             # bit-identical to the static service's — and since equal
             # model states yield equal decisions, two schedulers fed
-            # the same request stream stay bit-identical to each other
+            # the same request stream stay bit-identical to each other.
+            # The result key names the routed chain *order* but not its
+            # budget weights: stage seeds depend on solver and position
+            # only, so the order fixes an untruncated outcome, while the
+            # weight buckets follow the timed runtime of the previous
+            # solve and would make repeats miss at random.  The order
+            # depends on the deadline (tight deadlines lead with cheap
+            # stages), so a loose-deadline repeat never gets the plan a
+            # tight-deadline request produced.
             seed_key = policy_key(self.policy, request.mode)
-            pkey = f"routed|{policy_key(policy, request.mode)}"
+            order = tuple(replace(spec, weight=1.0) for spec in policy)
+            pkey = f"routed|{policy_key(order, request.mode)}"
         else:
             policy = request.policy if request.policy is not None else self.policy
             seed_key = pkey = policy_key(policy, request.mode)
@@ -218,11 +256,9 @@ class OptimizationService:
         self, request: OptimizationRequest, outcome, start: float, cache_hit: bool
     ) -> OptimizationResult:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.metrics.incr("requests_ok")
-        self.metrics.incr(f"served_by.{outcome.served_by}")
-        if outcome.deadline_exceeded:
-            self.metrics.incr("deadline_exceeded")
-        self.metrics.observe("latency_ms", elapsed_ms)
+        record_served(
+            self.metrics, outcome.served_by, outcome.deadline_exceeded, elapsed_ms
+        )
         return OptimizationResult(
             request_id=request.request_id,
             kind=request.kind,
@@ -257,8 +293,10 @@ class SchedulerBase:
       ``coalesce.hits`` / ``coalesce.misses`` in the scheduler section
       of :meth:`stats`.
 
-    Subclasses provide ``_dispatch`` (actually start one solve),
-    ``_rejected`` (build/record a rejection) and ``_coalesce_key``.
+    Subclasses provide ``_dispatch`` (actually start one solve, given
+    the request's coalesce key), ``_rejected`` (build/record a
+    rejection) and ``_coalesce_key``, and may override
+    ``_cached_result`` to answer a key without dispatching at all.
     """
 
     backend = ""
@@ -282,9 +320,15 @@ class SchedulerBase:
     # ------------------------------------------------------------------
     def submit(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
         """Admit (or reject, or coalesce) one request; returns a future."""
+        start = time.perf_counter()
         key = self._coalesce_key(request) if self.coalesce else None
         with self._lock:
             if key is not None:
+                cached = self._cached_result(request, key, start)
+                if cached is not None:
+                    future: "Future[OptimizationResult]" = Future()
+                    future.set_result(cached)
+                    return future
                 primary = self._flights.get(key)
                 if primary is not None:
                     self.scheduler_metrics.incr("coalesce.hits")
@@ -295,11 +339,11 @@ class SchedulerBase:
                     f"queue saturated: {self._in_flight} request(s) in flight "
                     f"(limit {self.queue_limit})"
                 )
-                future: "Future[OptimizationResult]" = Future()
+                future = Future()
                 future.set_result(self._rejected(request, reason))
                 return future
             self._in_flight += 1
-            future = self._dispatch(request)
+            future = self._dispatch(request, key)
             if key is not None:
                 self._flights[key] = future
             future.add_done_callback(lambda _f: self._release(key))
@@ -351,7 +395,21 @@ class SchedulerBase:
         }
 
     # -- backend hooks -------------------------------------------------
-    def _dispatch(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
+    def _cached_result(
+        self, request: OptimizationRequest, key: str, start: float
+    ) -> Optional[OptimizationResult]:
+        """A finished answer for ``key`` served without dispatch, or ``None``.
+
+        Called under the scheduler lock before coalescing and admission;
+        ``start`` is the ``perf_counter`` reading taken on entry to
+        :meth:`submit`.  Backends whose solves already consult an
+        in-process result cache keep this default.
+        """
+        return None
+
+    def _dispatch(
+        self, request: OptimizationRequest, key: Optional[str]
+    ) -> "Future[OptimizationResult]":
         raise NotImplementedError
 
     def _rejected(self, request: OptimizationRequest, reason: str) -> OptimizationResult:
@@ -413,7 +471,9 @@ class BatchScheduler(SchedulerBase):
         self._pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
+    def _dispatch(
+        self, request: OptimizationRequest, key: Optional[str]
+    ) -> "Future[OptimizationResult]":
         return self._pool.submit(self.service.optimize, request)
 
     def _rejected(self, request: OptimizationRequest, reason: str) -> OptimizationResult:

@@ -215,6 +215,20 @@ class TestBackpressure:
         scheduler = make_scheduler(
             "thread", config=ServiceConfig(seed=5), workers=2, warmup=[]
         )
+        # hold the primary solve until all three duplicates have
+        # attached to it, so the overlap never depends on timing
+        release = threading.Event()
+        solve = scheduler.service.optimize
+
+        def held_solve(request):
+            release.wait(timeout=60)
+            return solve(request)
+
+        scheduler.service.optimize = held_solve
+
+        def coalesce_hits():
+            return scheduler.stats()["scheduler"]["coalesce"]["hits"]
+
         with serve_in_background(scheduler, default_deadline_ms=500.0) as handle:
             url = f"{handle.url}/optimize"
             body = compact_mqo_body(seed=77)
@@ -229,6 +243,10 @@ class TestBackpressure:
             threads = [threading.Thread(target=post) for _ in range(4)]
             for thread in threads:
                 thread.start()
+            deadline = time.monotonic() + 60
+            while coalesce_hits() < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            release.set()
             for thread in threads:
                 thread.join()
             stats = scheduler.stats()
@@ -236,8 +254,8 @@ class TestBackpressure:
         plans = {json.dumps(body["plan"], sort_keys=True) for _s, body in responses}
         costs = {body["cost"] for _s, body in responses}
         assert len(plans) == 1 and len(costs) == 1
-        # at least one duplicate must have attached to the in-flight solve
-        assert stats["scheduler"]["coalesce"]["hits"] >= 1
+        # every duplicate attached to the held in-flight solve
+        assert stats["scheduler"]["coalesce"]["hits"] == 3
         # each response still carries its own request id
         ids = {body["request_id"] for _s, body in responses}
         assert len(ids) == 4

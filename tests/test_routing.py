@@ -379,6 +379,32 @@ class TestRoutedService:
         assert not first.cache_hit and second.cache_hit
         assert (first.plan, first.cost) == (second.plan, second.cost)
 
+    def test_tight_deadline_answer_not_reused_at_loose_deadline(self):
+        # a tight deadline leads with greedy; the loose repeat must run
+        # the quality-ordered chain (hybrid first) instead of hitting
+        # the greedy-first answer in the result cache
+        candidates = (default_policy()[0], default_policy()[-1])  # hybrid, greedy
+        routed = OptimizationService(
+            seed=37, routing=RoutingPolicy(candidates=candidates, headroom=0.05)
+        )
+        static = OptimizationService(seed=37, policy=candidates)
+        problem = random_mqo_problem(4, 3, seed=4)
+        make = lambda rid, deadline_ms: OptimizationRequest(  # noqa: E731
+            request_id=rid, kind="mqo", problem=problem, deadline_ms=deadline_ms
+        )
+        # hybrid's prior (~5 ms) exceeds 5% of 80 ms, greedy's does not
+        tight = routed.optimize(make("tight", 80.0))
+        assert tight.stage_trace[0]["stage"] == "greedy"
+        loose = routed.optimize(make("loose", 5_000.0))
+        assert not loose.cache_hit
+        assert loose.stage_trace[0]["stage"] == "hybrid"
+        reference = static.optimize(make("static", 5_000.0))
+        assert (loose.plan, loose.cost, loose.served_by) == (
+            reference.plan,
+            reference.cost,
+            reference.served_by,
+        )
+
     def test_service_state_ships_router_model(self):
         service = OptimizationService(seed=17, routing=RoutingPolicy())
         service.optimize(self.request(0))

@@ -9,9 +9,14 @@ expensive schedulers are module-scoped fixtures serving one shared
 workload.
 """
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
-from repro.exceptions import ConfigurationError, WorkerCrashError
+from repro.exceptions import ConfigurationError, SolverError, WorkerCrashError
+from repro.mqo.generator import random_mqo_problem
 from repro.serialization import to_jsonable
 from repro.server import (
     ProcessPoolScheduler,
@@ -19,7 +24,8 @@ from repro.server import (
     default_warmup_requests,
     make_scheduler,
 )
-from repro.service import synthetic_requests
+from repro.service import OptimizationRequest, synthetic_requests
+from repro.service.core import coalesce_key
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -111,7 +117,9 @@ class TestMergedStats:
         assert len(per_worker) == 3
         assert all(entry["pid"] for entry in per_worker)
         total_ok = sum(entry["requests_ok"] for entry in per_worker)
-        assert total_ok == stats["counters"]["requests_ok"]
+        # parent-side cache hits never reach a worker
+        parent_hits = section["result_cache"]["hits"]
+        assert total_ok + parent_hits == stats["counters"]["requests_ok"]
 
     def test_worker_counters_start_clean_after_warmup(self, pool_results):
         # warmup solves run before ready; they must not pollute the report
@@ -133,6 +141,232 @@ class TestMergedStats:
         scheduler.shutdown()  # idempotent
         stats = scheduler.stats()
         assert stats["counters"]["requests_total"] == 2
+
+
+def mqo_request(request_id, seed, deadline_ms=500.0, size=(3, 2)):
+    return OptimizationRequest(
+        request_id=request_id,
+        kind="mqo",
+        problem=random_mqo_problem(*size, seed=seed),
+        deadline_ms=deadline_ms,
+    )
+
+
+def one_worker_pool(**config):
+    return ProcessPoolScheduler(
+        config=ServiceConfig(seed=WORKLOAD_SEED, **config), workers=1, warmup=[]
+    )
+
+
+def served(scheduler, request):
+    return scheduler.submit(request).result(timeout=120.0)
+
+
+class TestParentResultCache:
+    """Repeats of a finished request are answered without IPC.
+
+    The parent stores exactly what a worker's own result cache would
+    (``ok``, untruncated, positive deadline) under the coalesce key,
+    and a hit must be indistinguishable from a worker-side hit apart
+    from ``request_id`` and ``elapsed_ms``.
+    """
+
+    def test_repeat_after_completion_served_by_parent(self):
+        request = mqo_request("repeat", seed=401)
+        with one_worker_pool() as scheduler:
+            first = served(scheduler, request)
+            again = served(scheduler, request)
+            stats = scheduler.stats()
+        assert first.status == "ok" and not first.cache_hit
+        assert again.cache_hit
+        assert signature(again) == signature(first)
+        assert stats["scheduler"]["result_cache"] == {
+            "size": 1,
+            "capacity": ServiceConfig().result_capacity,
+            "hits": 1,
+        }
+        # the parent hit is counted like a worker hit, the miss only once
+        counters = stats["counters"]
+        assert counters["cache.result_hits"] == 1
+        assert counters["cache.result_misses"] == 1
+        assert counters["requests_ok"] == counters["requests_total"] == 2
+        assert counters["requests_kind.mqo"] == 2
+        assert counters[f"served_by.{first.served_by}"] == 2
+        assert stats["histograms"]["latency_ms"]["count"] == 2
+        assert [w["requests_ok"] for w in stats["scheduler"]["per_worker"]] == [1]
+
+    def test_parent_hit_matches_worker_hit_field_for_field(self):
+        # the worker's result key ignores the deadline but the coalesce
+        # key does not: a new deadline misses the parent and hits the
+        # worker, the original deadline then hits the parent
+        request = mqo_request("fields", seed=402)
+        with one_worker_pool() as scheduler:
+            served(scheduler, request)
+            worker_hit = served(scheduler, replace(request, deadline_ms=600.0))
+            parent_hit = served(scheduler, request)
+            hits = scheduler.stats()["scheduler"]["result_cache"]["hits"]
+        assert hits == 1
+        assert worker_hit.cache_hit and parent_hit.cache_hit
+        assert replace(parent_hit, elapsed_ms=0.0) == replace(
+            worker_hit, request_id=request.request_id, elapsed_ms=0.0
+        )
+
+    def test_hit_gets_its_own_plan_copy(self):
+        request = mqo_request("copy", seed=403)
+        with one_worker_pool() as scheduler:
+            first = served(scheduler, request)
+            first.plan.clear()
+            again = served(scheduler, request.with_id("copy-2"))
+            again.plan.clear()
+            third = served(scheduler, request.with_id("copy-3"))
+        assert third.cache_hit and third.plan
+
+    def test_deadline_truncated_result_not_stored(self):
+        request = mqo_request("truncated", seed=404, deadline_ms=0.01, size=(12, 4))
+        with one_worker_pool() as scheduler:
+            first = served(scheduler, request)
+            again = served(scheduler, request)
+            section = scheduler.stats()["scheduler"]["result_cache"]
+        assert first.deadline_exceeded
+        assert not again.cache_hit  # reached a worker, which re-solved
+        assert section["size"] == 0 and section["hits"] == 0
+
+    def test_rejected_result_not_stored(self):
+        # a generous deadline keeps the slow solve untruncated (stored)
+        slow = mqo_request("slow", seed=405, deadline_ms=60_000.0, size=(10, 4))
+        bounced = mqo_request("bounced", seed=406)
+        with ProcessPoolScheduler(
+            config=ServiceConfig(seed=WORKLOAD_SEED),
+            workers=1,
+            queue_limit=1,
+            warmup=[],
+        ) as scheduler:
+            in_flight = scheduler.submit(slow)
+            rejected = served(scheduler, bounced)
+            in_flight.result(timeout=120.0)
+            retried = served(scheduler, bounced)
+            section = scheduler.stats()["scheduler"]["result_cache"]
+        assert rejected.status == "rejected"
+        assert retried.status == "ok" and not retried.cache_hit
+        assert section["size"] == 2 and section["hits"] == 0
+
+    def test_cached_repeat_after_shutdown_raises(self):
+        request = mqo_request("closed", seed=408)
+        scheduler = one_worker_pool()
+        served(scheduler, request)
+        scheduler.shutdown()
+        with pytest.raises(ConfigurationError, match="shut down"):
+            scheduler.submit(request)
+
+    def test_errored_result_not_stored(self):
+        from repro.sql import SqlQuery, tpch_catalog
+
+        broken = OptimizationRequest(
+            request_id="broken",
+            kind="sql",
+            problem=SqlQuery(sql="SELECT * FROM nope", catalog=tpch_catalog()),
+            deadline_ms=500.0,
+        )
+        with one_worker_pool() as scheduler:
+            for _ in range(2):
+                with pytest.raises(SolverError):
+                    served(scheduler, broken)
+            section = scheduler.stats()["scheduler"]["result_cache"]
+        assert section["size"] == 0 and section["hits"] == 0
+
+    def test_coalesce_false_bypasses_cache(self):
+        request = mqo_request("bypass", seed=407)
+        with ProcessPoolScheduler(
+            config=ServiceConfig(seed=WORKLOAD_SEED),
+            workers=1,
+            coalesce=False,
+            warmup=[],
+        ) as scheduler:
+            served(scheduler, request)
+            again = served(scheduler, request)
+            stats = scheduler.stats()
+        assert again.cache_hit  # the worker's own cache answered
+        assert stats["scheduler"]["result_cache"]["size"] == 0
+        assert stats["scheduler"]["result_cache"]["hits"] == 0
+        assert stats["scheduler"]["per_worker"][0]["requests_ok"] == 2
+
+    def test_capacity_is_result_capacity_with_lru_eviction(self):
+        a, b, c = (mqo_request(name, seed=410 + i) for i, name in enumerate("abc"))
+        with one_worker_pool(result_capacity=2) as scheduler:
+            for request in (a, b, a, c):  # a refreshed, so c evicts b
+                served(scheduler, request)
+            a_again = served(scheduler, a)
+            served(scheduler, b)
+            stats = scheduler.stats()
+        assert a_again.cache_hit
+        assert stats["scheduler"]["result_cache"] == {
+            "size": 2,
+            "capacity": 2,
+            "hits": 2,
+        }
+        # a, b, c and the evicted b's repeat all reached the worker
+        assert stats["scheduler"]["per_worker"][0]["requests_ok"] == 4
+
+    def test_concurrent_repeats_keep_counts_exact(self):
+        # client threads race the collector's stores and each other's
+        # lookups; a lost update would break the counter identities
+        problems = [mqo_request(f"p{index}", seed=430 + index) for index in range(4)]
+        results = []
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ProcessPoolScheduler(
+                config=ServiceConfig(seed=WORKLOAD_SEED), workers=2, warmup=[]
+            ) as scheduler:
+
+                def client(index):
+                    for step in range(25):
+                        request = problems[(index + step) % len(problems)]
+                        result = served(scheduler, request.with_id(f"c{index}-{step}"))
+                        with lock:
+                            results.append((request.request_id, result))
+
+                threads = [
+                    threading.Thread(target=client, args=(index,)) for index in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = scheduler.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 150
+        answers = {}
+        for problem_id, result in results:
+            assert result.status == "ok" and result.valid
+            answers.setdefault(problem_id, set()).add(repr(signature(result)[3:]))
+        assert all(len(variants) == 1 for variants in answers.values())
+        section = stats["scheduler"]
+        served_ok = stats["counters"]["requests_ok"]
+        parent_hits = section["result_cache"]["hits"]
+        worker_ok = sum(entry["requests_ok"] for entry in section["per_worker"])
+        assert parent_hits > 0
+        assert worker_ok + parent_hits == served_ok
+        assert served_ok + section["coalesce"]["hits"] == len(results)
+        assert section["result_cache"]["size"] == len(problems)
+
+    def test_routed_pool_keeps_routed_key_namespace(self):
+        request = mqo_request("routed", seed=420)
+        config = ServiceConfig(seed=WORKLOAD_SEED, routing=True)
+        with ProcessPoolScheduler(config=config, workers=1, warmup=[]) as scheduler:
+            first = served(scheduler, request)
+            again = served(scheduler, request)
+            keys = list(scheduler._results.entries)
+        assert keys == [
+            coalesce_key(
+                request, config.seed, config.effective_policy(), routed=True
+            )
+        ]
+        assert "|routed|" in keys[0]
+        assert again.cache_hit and signature(again) == signature(first)
 
 
 class TestAdmissionControl:
