@@ -3,7 +3,7 @@
 Measures the full front-door path — HTTP parse, request-model
 validation, scheduler submit, solve, JSON response — against a gateway
 running on an ephemeral port, for each executor backend.  The point of
-comparison with ``BENCH_service.json`` (which drives the scheduler
+comparison with ``BENCH_replay.json`` (which drives the scheduler
 directly) is the *gateway overhead*: how many milliseconds the
 stdlib-asyncio transport adds on top of a bare ``scheduler.submit``.
 
@@ -37,9 +37,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from provenance import provenance_block  # noqa: E402
 
+from repro.replay import replay_stream  # noqa: E402
 from repro.serialization import to_jsonable  # noqa: E402
 from repro.server import ServiceConfig, make_scheduler, serve_in_background  # noqa: E402
-from repro.service import request_to_dict, synthetic_requests  # noqa: E402
+from repro.service import request_to_dict  # noqa: E402
 from repro.service.metrics import percentile  # noqa: E402
 
 
@@ -124,12 +125,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    requests = synthetic_requests(
+    # a flat draw over 1.5x as many slots as requests repeats ~27% of
+    # them, enough for the coalescing and result caches to show
+    requests = list(replay_stream(
         args.requests,
         seed=args.seed,
+        unique=max(1, args.requests * 3 // 2),
+        zipf_s=0.0,
         deadline_ms=args.deadline_ms,
-        duplicate_fraction=0.25,
-    )
+        sql_fraction=0.0,
+    ))
     print(
         f"workload: {len(requests)} requests over HTTP, {args.clients} client "
         f"connection(s), deadline {args.deadline_ms:g} ms, {os.cpu_count()} cpu(s)"

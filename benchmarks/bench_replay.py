@@ -1,11 +1,10 @@
 """Workload-replay benchmark: 10^5+ Zipfian requests per backend.
 
 Streams the lazily-generated Zipfian request mix (:mod:`repro.replay`)
-through the thread and the process scheduler backend at full scale —
-the serving numbers the smaller ``BENCH_service.json`` burst benchmark
-cannot show: steady-state cache and coalescing hit rates under a
-heavy-tailed duplicate distribution, admission rejections, deadline
-misses, and client-side tail latency over a hundred thousand requests.
+through the thread and the process scheduler backend at full scale:
+steady-state cache and coalescing hit rates under a heavy-tailed
+duplicate distribution, admission rejections, deadline misses, invalid
+plans, and client-side tail latency over a hundred thousand requests.
 
 The stream is never materialized: requests are built on demand from
 derived seeds, so memory stays constant at ``--max-in-flight``
@@ -19,7 +18,8 @@ Usage::
 
 ``--smoke`` shrinks the stream to 10^3 requests for CI; rates and
 latencies are wall-clock measurements, so smoke runs only assert
-structural health (all requests answered, no errors), not numbers.
+structural health (all requests answered, no errors, no invalid
+plans), not numbers.
 
 Writes ``BENCH_replay.json`` at the repository root.
 """
@@ -73,7 +73,8 @@ def run_once(args, backend: str, requests: int, unique: int) -> dict:
         f"cache {report.cache.get('hit_rate', 0.0):.1%}, "
         f"coalesce {report.coalesce.get('hit_rate', 0.0):.1%}, "
         f"rejected {report.rejection_rate:.2%}, "
-        f"missed {report.deadline_miss_rate:.2%}, errors {report.errors}"
+        f"missed {report.deadline_miss_rate:.2%}, errors {report.errors}, "
+        f"invalid {report.invalid}"
     )
     return report.to_dict()
 
@@ -140,7 +141,8 @@ def main(argv=None) -> int:
     )
     print(f"wrote {args.output}")
     healthy = all(
-        run["errors"] == 0 and run["ok"] > 0 and run["requests"] == requests
+        run["errors"] == 0 and run["invalid"] == 0 and run["ok"] > 0
+        and run["requests"] == requests
         for run in runs.values()
     )
     return 0 if healthy else 1

@@ -18,14 +18,12 @@ Commands
 ``sql``
     The SQL front door: parse, explain or optimize a SQL join query
     against the TPC-H-style catalog, or generate a seeded workload.
-``serve-bench``
-    Drive the optimization service with a synthetic request workload
-    (thread or process backend) and print a metrics snapshot.
 ``replay``
     Stream a Zipfian-duplicated request workload (lazily generated,
-    10^3–10^6 requests) through a scheduler backend at a configurable
-    arrival rate and report cache/coalescing hit rates, rejections,
-    deadline misses, and tail latency.
+    10^3–10^6 requests) through one or both scheduler backends at a
+    configurable arrival rate, validate every served plan, and report
+    cache/coalescing hit rates, rejections, deadline misses, invalid
+    plans, and tail latency.
 ``serve``
     Run the HTTP gateway over a scheduler backend: ``POST /optimize``,
     ``POST /sql``, ``GET /stats``, ``GET /healthz``; graceful drain on
@@ -485,85 +483,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0 if result.valid else 1
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro import serialization
-    from repro.server import ServiceConfig, make_scheduler
-    from repro.service import make_adapter, parse_policy, result_to_dict, synthetic_requests
-
-    policy = parse_policy(args.policy) if args.policy else None
-    requests = synthetic_requests(
-        args.requests,
-        seed=args.seed,
-        deadline_ms=args.deadline_ms,
-        mqo_fraction=args.mqo_fraction,
-        duplicate_fraction=args.duplicates,
-        sql_fraction=args.sql_fraction,
-        policy=policy,
-        mode=args.mode.replace("-", "_"),
-    )
-    import time as _time
-
-    start = _time.perf_counter()
-    with make_scheduler(
-        args.backend,
-        config=ServiceConfig(seed=args.seed, routing=args.route),
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        coalesce=not args.no_coalesce,
-    ) as scheduler:
-        # the pool is up before the clock starts; wall measures serving
-        start = _time.perf_counter()
-        results = scheduler.run(requests)
-        wall = _time.perf_counter() - start
-        stats = scheduler.stats()
-
-    invalid = 0
-    for request, result in zip(requests, results):
-        if result.status == "rejected":
-            print(f"{result.request_id}: REJECTED ({result.reject_reason})")
-            continue
-        ok = result.valid and make_adapter(request.kind, request.problem).validate(
-            result.plan
-        )
-        invalid += 0 if ok else 1
-        print(
-            f"{result.request_id}: kind={result.kind} served_by={result.served_by} "
-            f"{_format_plan(result)} cost={result.cost:g} valid={ok} "
-            f"cache={'hit' if result.cache_hit else 'miss'} "
-            f"deadline_exceeded={result.deadline_exceeded}"
-        )
-    served = sum(1 for r in results if r.status == "ok")
-    print()
-    print(f"throughput: {served / wall:.1f} req/s ({served} served in {wall:.2f}s wall)")
-    _print_service_stats(stats)
-    if args.json_out is not None:
-        import os as _os
-
-        payload = {
-            "config": {
-                "requests": args.requests, "workers": args.workers,
-                "backend": args.backend, "coalesce": not args.no_coalesce,
-                "deadline_ms": args.deadline_ms, "seed": args.seed,
-                "routing": args.route, "cpu_count": _os.cpu_count(),
-            },
-            "wall_seconds": wall,
-            "throughput_rps": served / wall if wall > 0 else None,
-            "results": [
-                serialization.to_jsonable(result_to_dict(r)) for r in results
-            ],
-            "stats": serialization.to_jsonable(stats),
-        }
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            _json.dump(payload, handle, indent=2)
-        print(f"bench results written to {args.json_out}")
-    if invalid:
-        print(f"error: {invalid} response(s) failed validity checks", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -577,6 +496,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     reports = {}
     failures = 0
     for backend in backends:
+        # built before the scheduler so bad arguments fail fast
+        stream = replay_stream(
+            count,
+            seed=args.seed,
+            unique=unique,
+            zipf_s=args.zipf_s,
+            deadline_ms=args.deadline_ms,
+            mqo_fraction=args.mqo_fraction,
+            sql_fraction=args.sql_fraction,
+        )
         print(f"--- replay: {count} requests via {backend} backend ---")
         with make_scheduler(
             backend,
@@ -584,15 +513,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             workers=args.workers,
             queue_limit=args.queue_limit,
         ) as scheduler:
-            stream = replay_stream(
-                count,
-                seed=args.seed,
-                unique=unique,
-                zipf_s=args.zipf_s,
-                deadline_ms=args.deadline_ms,
-                mqo_fraction=args.mqo_fraction,
-                sql_fraction=args.sql_fraction,
-            )
             report = run_replay(
                 scheduler,
                 stream,
@@ -618,9 +538,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             f"coalesce hit {100.0 * report.coalesce.get('hit_rate', 0.0):.1f}%  "
             f"rejected {100.0 * report.rejection_rate:.2f}%  "
             f"deadline miss {100.0 * report.deadline_miss_rate:.2f}%  "
-            f"errors {report.errors}"
+            f"errors {report.errors}  invalid {report.invalid}"
         )
-        if report.errors or report.ok == 0:
+        if report.errors or report.invalid or report.ok == 0:
             failures += 1
     if args.json_out is not None:
         payload = {
@@ -945,51 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--min-tables", type=int, default=2)
     sql.add_argument("--max-tables", type=int, default=6)
     sql.set_defaults(func=_cmd_sql)
-
-    bench = sub.add_parser(
-        "serve-bench",
-        help="drive the optimization service with a synthetic workload",
-    )
-    bench.add_argument("--requests", type=int, default=32)
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="scheduler worker threads (default: REPRO_BENCH_WORKERS or 1)",
-    )
-    bench.add_argument("--deadline-ms", type=float, default=200.0)
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--mqo-fraction", type=float, default=0.5)
-    bench.add_argument(
-        "--sql-fraction", type=float, default=0.0,
-        help="fraction of requests arriving as raw SQL (kind='sql')",
-    )
-    bench.add_argument(
-        "--duplicates", type=float, default=0.25,
-        help="fraction of requests repeating an earlier problem (cache exercise)",
-    )
-    bench.add_argument(
-        "--queue-limit", type=int, default=None,
-        help="admission control: max in-flight requests before rejection",
-    )
-    bench.add_argument("--policy", default=None)
-    bench.add_argument(
-        "--mode", choices=("first-valid", "exhaust"), default="first-valid"
-    )
-    bench.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="executor backend: GIL-bound threads or one process per worker",
-    )
-    bench.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable in-flight duplicate-request coalescing",
-    )
-    bench.add_argument(
-        "--route", action="store_true",
-        help="enable the deadline-aware per-request router in every worker",
-    )
-    bench.add_argument(
-        "--json-out", default=None, help="dump results + metrics JSON here"
-    )
-    bench.set_defaults(func=_cmd_serve_bench)
 
     replay = sub.add_parser(
         "replay",

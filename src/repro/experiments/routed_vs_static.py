@@ -53,25 +53,28 @@ def _mean_prediction_error(routing_stats: Dict[str, Any]) -> Optional[float]:
 
 def _routed_vs_static_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One deadline: the same workload through a static and a routed service."""
+    from repro.replay import replay_stream
     from repro.routing import RoutingPolicy
-    from repro.service import OptimizationService, synthetic_requests
+    from repro.service import OptimizationService
 
     def _stream(stream_seed: int):
         # sizes deliberately span the discriminating band where the
         # strongest stage takes tens of ms: tight deadlines force a
-        # real choice between plan quality and answering in time
-        return synthetic_requests(
+        # real choice between plan quality and answering in time; a
+        # flat draw over 10^6 slots makes the requests distinct
+        return list(replay_stream(
             params["requests"],
             seed=stream_seed,
+            unique=10**6,
+            zipf_s=0.0,
             deadline_ms=params["deadline_ms"],
             mqo_fraction=params["mqo_fraction"],
-            duplicate_fraction=0.0,
             sql_fraction=params["sql_fraction"],
             queries_range=(6, 12),
             plans_per_query_range=(2, 4),
             relations_range=(5, 9),
             sql_tables_range=(3, 8),
-        )
+        ))
 
     requests = _stream(params["workload_seed"])
     static = OptimizationService(seed=seed)

@@ -6,7 +6,9 @@ them admitted at once, optionally paces submissions to an open-loop
 arrival rate, and records what production dashboards would: client-side
 latency percentiles, result-cache and coalescing hit rates (plus the
 process pool's parent-side result cache), admission
-rejections, and deadline misses.
+rejections, and deadline misses.  Every served plan is also checked
+against its problem (``make_adapter(kind, problem).validate``); a plan
+that fails counts as ``invalid``.
 
 The in-flight window serves two purposes.  It bounds memory — the
 harness never holds more than ``max_in_flight`` outstanding futures, so
@@ -21,17 +23,24 @@ percentiles exact for runs up to ``histogram_capacity`` requests.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from threading import Lock, Semaphore
 from typing import Callable, Dict, Iterable, Optional
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ProblemError
+from repro.serialization import to_jsonable
 from repro.service.core import SchedulerBase
 from repro.service.metrics import Histogram
-from repro.service.request import OptimizationRequest
+from repro.service.problems import make_adapter
+from repro.service.request import OptimizationRequest, OptimizationResult
 
 __all__ = ["ReplayReport", "run_replay"]
+
+#: (problem id, plan) pairs already validated before the memo is reset;
+#: bounds the memo on long streams of distinct problems
+_VALIDATED_CAPACITY = 65_536
 
 
 @dataclass
@@ -45,6 +54,8 @@ class ReplayReport:
     rejected: int = 0
     deadline_missed: int = 0
     errors: int = 0
+    #: served plans that fail their problem's validity check
+    invalid: int = 0
     wall_seconds: float = 0.0
     offered_rate: Optional[float] = None
     latency_ms: Dict[str, float] = field(default_factory=dict)
@@ -77,6 +88,7 @@ class ReplayReport:
             "rejected": self.rejected,
             "deadline_missed": self.deadline_missed,
             "errors": self.errors,
+            "invalid": self.invalid,
             "wall_seconds": self.wall_seconds,
             "throughput_rps": self.throughput_rps,
             "offered_rate": self.offered_rate,
@@ -100,6 +112,38 @@ def _rate_section(counters: Dict[str, int], hits_key: str, misses_key: str) -> D
     }
 
 
+class _PlanValidator:
+    """Validates served plans, skipping exact repeats.
+
+    A repeat is the same plan for the same problem *object*, which is
+    what a stream's duplicates are; the memo keeps each problem alive
+    so its ``id`` cannot be reused while the entry stands.
+    """
+
+    def __init__(self) -> None:
+        self._validated: Dict[tuple, object] = {}
+
+    def __call__(self, request: OptimizationRequest, result: OptimizationResult) -> bool:
+        if not result.valid:
+            return False
+        key = (
+            id(request.problem),
+            json.dumps(to_jsonable(result.plan), sort_keys=True),
+        )
+        if self._validated.get(key) is request.problem:
+            return True
+        try:
+            valid = make_adapter(request.kind, request.problem).validate(result.plan)
+        except (ProblemError, TypeError, ValueError):  # a malformed plan
+            return False
+        if not valid:
+            return False
+        if len(self._validated) >= _VALIDATED_CAPACITY:
+            self._validated.clear()
+        self._validated[key] = request.problem
+        return True
+
+
 def run_replay(
     scheduler: SchedulerBase,
     stream: Iterable[OptimizationRequest],
@@ -118,6 +162,9 @@ def run_replay(
     Without a rate the harness submits as fast as the window allows
     (closed loop at concurrency ``max_in_flight``).
 
+    Every ``ok`` result is validated against its request's problem;
+    failures are counted in ``ReplayReport.invalid``.
+
     ``progress`` (called with the submission count every
     ``progress_every`` requests) lets the CLI narrate long runs.
     """
@@ -129,28 +176,34 @@ def run_replay(
     window = Semaphore(max_in_flight)
     lock = Lock()
     latency = Histogram(capacity=histogram_capacity)
+    validate = _PlanValidator()
     report = ReplayReport(
         backend=scheduler.backend, workers=scheduler.workers, offered_rate=rate
     )
 
-    def _complete(submitted_at: float, future) -> None:
+    def _complete(request: OptimizationRequest, submitted_at: float, future) -> None:
         elapsed_ms = (time.perf_counter() - submitted_at) * 1000.0
-        with lock:
-            latency.record(elapsed_ms)
-            exc = future.exception()
-            if exc is not None:
-                report.errors += 1
-            else:
+        try:
+            with lock:
+                latency.record(elapsed_ms)
+                exc = future.exception()
+                if exc is not None:
+                    report.errors += 1
+                    return
                 result = future.result()
                 if result.status == "rejected":
                     report.rejected += 1
-                elif result.deadline_exceeded:
+                    return
+                if result.deadline_exceeded:
                     report.deadline_missed += 1
-                    if result.status == "ok":
-                        report.ok += 1
-                elif result.status == "ok":
+                if result.status == "ok":
                     report.ok += 1
-        window.release()
+                    if not validate(request, result):
+                        report.invalid += 1
+        finally:
+            # the drain below waits for every slot, so release even if
+            # a check raised
+            window.release()
 
     start = time.perf_counter()
     submitted = 0
@@ -164,7 +217,7 @@ def run_replay(
         submitted_at = time.perf_counter()
         future = scheduler.submit(request)
         future.add_done_callback(
-            lambda f, t=submitted_at: _complete(t, f)
+            lambda f, r=request, t=submitted_at: _complete(r, t, f)
         )
         submitted += 1
         if progress is not None and submitted % max(1, progress_every) == 0:

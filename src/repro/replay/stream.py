@@ -71,9 +71,8 @@ def _slot_request(
 ) -> OptimizationRequest:
     """Build slot ``slot``'s problem from its derived seed.
 
-    Mirrors :func:`repro.service.workload.synthetic_requests`' recipe
-    (SQL share first, then MQO, then a join shape) so replay traffic
-    exercises the same serving paths as the bench workloads.
+    The SQL share is drawn first, then MQO, and the rest are join
+    graphs of a random shape.
     """
     rng = np.random.default_rng(derive_seed(seed, _SLOT_SCOPE, {"slot": slot}))
     if float(rng.random()) < sql_fraction:
@@ -133,23 +132,42 @@ def replay_stream(
     retained.  Two streams with equal arguments are identical request
     for request, and the content of request ``i`` does not depend on
     ``count`` — replaying a prefix is replaying the same traffic.
+
+    Arguments are checked on the call, before the first request is
+    drawn: both fractions must lie in ``[0, 1]`` and every ``*_range``
+    must satisfy ``1 <= lo <= hi``.
     """
     if count < 0:
         raise ConfigurationError("request count must be non-negative")
+    for name, fraction in (("mqo_fraction", mqo_fraction), ("sql_fraction", sql_fraction)):
+        if not 0.0 <= fraction <= 1.0:
+            raise ConfigurationError(f"{name} must lie in [0, 1], got {fraction}")
+    for name, (lo, hi) in (
+        ("queries_range", queries_range),
+        ("plans_per_query_range", plans_per_query_range),
+        ("relations_range", relations_range),
+        ("sql_tables_range", sql_tables_range),
+    ):
+        if not 1 <= lo <= hi:
+            raise ConfigurationError(f"{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
     policy_tuple = None if policy is None else tuple(policy)
     cumulative = zipf_cumulative(unique, zipf_s)
-    rng = np.random.default_rng(
-        derive_seed(seed, _STREAM_SCOPE, {"unique": unique, "zipf_s": zipf_s})
-    )
-    slots: Dict[int, OptimizationRequest] = {}
-    for index in range(count):
-        slot = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
-        template = slots.get(slot)
-        if template is None:
-            template = _slot_request(
-                slot, seed, deadline_ms, mqo_fraction, sql_fraction,
-                queries_range, plans_per_query_range, relations_range,
-                sql_tables_range, policy_tuple, mode,
-            )
-            slots[slot] = template
-        yield template.with_id(f"replay-{index:07d}")
+
+    def generate() -> Iterator[OptimizationRequest]:
+        rng = np.random.default_rng(
+            derive_seed(seed, _STREAM_SCOPE, {"unique": unique, "zipf_s": zipf_s})
+        )
+        slots: Dict[int, OptimizationRequest] = {}
+        for index in range(count):
+            slot = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
+            template = slots.get(slot)
+            if template is None:
+                template = _slot_request(
+                    slot, seed, deadline_ms, mqo_fraction, sql_fraction,
+                    queries_range, plans_per_query_range, relations_range,
+                    sql_tables_range, policy_tuple, mode,
+                )
+                slots[slot] = template
+            yield template.with_id(f"replay-{index:07d}")
+
+    return generate()

@@ -9,8 +9,9 @@ exactly the trick the adaptive-filter literature uses for heavy-tailed
 targets.
 
 The model is *seeded* with priors calibrated from this repository's
-recorded benchmarks (BENCH_service.json stage latencies: hybrid ≈ 8 ms,
-tabu ≈ 2 ms, sa ≈ 1.5 ms, greedy ≈ 0.4 ms on serving-sized problems)
+recorded benchmarks (stage latencies from the 64-request serving
+benchmark of commit 35c5f5e: hybrid ≈ 8 ms, tabu ≈ 2 ms, sa ≈ 1.5 ms,
+greedy ≈ 0.4 ms on serving-sized problems)
 and *updated online* from every observed stage outcome, converging to
 the deployment's true latencies within tens of requests (pinned by a
 hypothesis property).  :meth:`warm_from_stats` re-seeds the bias from a
@@ -35,9 +36,10 @@ from repro.routing.features import FEATURE_NAMES, ProblemFeatures
 __all__ = ["DEFAULT_PRIORS", "SolverCostModel", "default_cost_model"]
 
 #: runtime priors as (bias, log-variables slope) in log1p-ms space,
-#: zeros for the remaining features; calibrated from BENCH_service.json
-#: stage latencies so that on serving-sized problems (~20 variables)
-#: hybrid ≻ tabu ≻ sa ≻ greedy both in cost and in predicted runtime
+#: zeros for the remaining features; calibrated from the stage latencies
+#: of the 64-request serving benchmark of commit 35c5f5e so that on
+#: serving-sized problems (~20 variables) hybrid ≻ tabu ≻ sa ≻ greedy
+#: both in cost and in predicted runtime
 DEFAULT_PRIORS: Mapping[str, Tuple[float, float]] = {
     "hybrid": (-0.24, 0.80),
     "tabu": (-1.00, 0.70),

@@ -1,7 +1,8 @@
 """Process-pool serving backend: solves scale with cores, not the GIL.
 
 :class:`BatchScheduler`'s thread pool serializes solver work on the
-GIL — BENCH_service.json showed throughput *falling* as workers were
+GIL — the 64-request serving benchmark recorded when this backend was
+added (commit 35c5f5e) showed throughput *falling* as workers were
 added.  :class:`ProcessPoolScheduler` is the drop-in replacement: each
 worker is a separate OS process owning a full
 :class:`~repro.service.core.OptimizationService` (its own compilation

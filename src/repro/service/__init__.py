@@ -20,9 +20,10 @@ registry (PR 2) and harness primitives (PR 1) into that serving layer:
   :class:`OptimizationService` and the admission-controlled
   :class:`BatchScheduler`;
 * :mod:`~repro.service.metrics` — counters and latency histograms
-  behind a ``stats()`` snapshot;
-* :mod:`~repro.service.workload` — deterministic synthetic workloads
-  for ``python -m repro serve-bench``.
+  behind a ``stats()`` snapshot.
+
+Request workloads come from :func:`repro.replay.replay_stream`, and
+``python -m repro replay`` drives them through a scheduler.
 """
 
 from repro.service.cache import CompilationCache, merge_cache_stats
@@ -50,7 +51,6 @@ from repro.service.request import (
     result_from_dict,
     result_to_dict,
 )
-from repro.service.workload import synthetic_requests
 
 __all__ = [
     "BatchScheduler",
@@ -77,5 +77,4 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "run_chain",
-    "synthetic_requests",
 ]

@@ -9,6 +9,7 @@ expensive schedulers are module-scoped fixtures serving one shared
 workload.
 """
 
+import json
 import sys
 import threading
 from dataclasses import replace
@@ -17,6 +18,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SolverError, WorkerCrashError
 from repro.mqo.generator import random_mqo_problem
+from repro.replay import replay_stream
 from repro.serialization import to_jsonable
 from repro.server import (
     ProcessPoolScheduler,
@@ -24,25 +26,38 @@ from repro.server import (
     default_warmup_requests,
     make_scheduler,
 )
-from repro.service import OptimizationRequest, synthetic_requests
+from repro.service import OptimizationRequest
 from repro.service.core import coalesce_key
+from repro.service.request import problem_to_dict
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 WORKLOAD_SEED = 31
 
 
+def distinct_stream(count, seed, **kwargs):
+    """``count`` requests with pairwise-distinct problems."""
+    requests = list(
+        replay_stream(count, seed=seed, unique=10**6, zipf_s=0.0, **kwargs)
+    )
+    contents = {
+        json.dumps(to_jsonable(problem_to_dict(r.kind, r.problem)), sort_keys=True)
+        for r in requests
+    }
+    assert len(contents) == count
+    return requests
+
+
 @pytest.fixture(scope="module")
 def workload():
-    # duplicates exercise coalescing; the sql fraction exercises the
+    # duplicates exercise coalescing; the sql share exercises the
     # lazy-kind serializer registration inside fresh worker processes
-    return synthetic_requests(
-        10,
-        seed=WORKLOAD_SEED,
-        deadline_ms=500.0,
-        duplicate_fraction=0.3,
-        sql_fraction=0.2,
+    requests = list(
+        replay_stream(10, seed=WORKLOAD_SEED, unique=8, deadline_ms=500.0, sql_fraction=0.2)
     )
+    assert len({id(r.problem) for r in requests}) < len(requests)
+    assert {r.kind for r in requests} == {"mqo", "join_order", "sql"}
+    return requests
 
 
 @pytest.fixture(scope="module")
@@ -426,13 +441,9 @@ class TestRoutedDeterminism:
     def routed_workload(self):
         # no duplicates: every request must reach the router and update
         # the cost model in the same order on both backends
-        return synthetic_requests(
-            8,
-            seed=53,
-            deadline_ms=2_000.0,
-            duplicate_fraction=0.0,
-            sql_fraction=0.25,
-        )
+        requests = distinct_stream(8, seed=52, deadline_ms=2_000.0, sql_fraction=0.25)
+        assert {r.kind for r in requests} == {"mqo", "join_order", "sql"}
+        return requests
 
     @pytest.fixture(scope="class")
     def routed_results(self, routed_workload):
@@ -480,11 +491,8 @@ class TestDeadWorkerRecovery:
     """
 
     def test_inflight_requests_recovered_after_worker_kill(self):
-        requests = synthetic_requests(
-            8,
-            seed=WORKLOAD_SEED + 1,
-            deadline_ms=2000.0,
-            duplicate_fraction=0.0,
+        requests = distinct_stream(
+            8, seed=WORKLOAD_SEED + 1, deadline_ms=2000.0, sql_fraction=0.0
         )
         with ProcessPoolScheduler(
             config=ServiceConfig(seed=WORKLOAD_SEED), workers=2
@@ -506,12 +514,9 @@ class TestDeadWorkerRecovery:
         assert all(r.status == "ok" and r.valid for r in late_results)
 
     def test_no_live_workers_raises_typed_error(self):
-        request = synthetic_requests(
-            1,
-            seed=WORKLOAD_SEED + 2,
-            deadline_ms=2000.0,
-            duplicate_fraction=0.0,
-        )[0]
+        (request,) = distinct_stream(
+            1, seed=WORKLOAD_SEED + 2, deadline_ms=2000.0, sql_fraction=0.0
+        )
         with ProcessPoolScheduler(
             config=ServiceConfig(seed=WORKLOAD_SEED), workers=1
         ) as scheduler:

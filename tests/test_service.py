@@ -10,6 +10,7 @@ from repro.hybrid.registry import register_solver
 from repro.hybrid.solver import SolveResult
 from repro.joinorder.generators import chain_query, star_query
 from repro.mqo.generator import random_mqo_problem
+from repro.replay import replay_stream
 from repro.service import (
     BatchScheduler,
     OptimizationRequest,
@@ -18,7 +19,6 @@ from repro.service import (
     default_policy,
     make_adapter,
     parse_policy,
-    synthetic_requests,
 )
 from repro.service.chain import FALLBACK_STAGE, policy_key, run_chain
 from repro.service.metrics import Histogram, Metrics, percentile
@@ -271,7 +271,7 @@ class TestService:
 
 class TestScheduler:
     def test_batch_matches_serial(self):
-        requests = synthetic_requests(10, seed=5, deadline_ms=2000.0)
+        requests = list(replay_stream(10, seed=5, unique=8, deadline_ms=2000.0))
         parallel_service = OptimizationService(seed=5)
         with BatchScheduler(parallel_service, workers=4) as scheduler:
             parallel = scheduler.run(requests)
@@ -301,35 +301,10 @@ class TestScheduler:
         assert all(r.valid for r in served)
 
     def test_no_limit_serves_everything(self):
-        requests = synthetic_requests(6, seed=1, deadline_ms=2000.0)
+        requests = list(replay_stream(6, seed=1, unique=5, deadline_ms=2000.0))
         with BatchScheduler(OptimizationService(seed=1), workers=2) as scheduler:
             results = scheduler.run(requests)
         assert all(r.status == "ok" and r.valid for r in results)
-
-
-class TestWorkload:
-    def test_deterministic(self):
-        first = synthetic_requests(12, seed=9)
-        second = synthetic_requests(12, seed=9)
-        assert [r.problem for r in first] == [r.problem for r in second]
-        assert [r.kind for r in first] == [r.kind for r in second]
-
-    def test_duplicates_repeat_content(self):
-        requests = synthetic_requests(40, seed=2, duplicate_fraction=0.5)
-        ids = [r.request_id for r in requests]
-        assert len(set(ids)) == len(ids), "request ids stay unique"
-        problems = [r.problem for r in requests]
-        assert any(
-            problems[i] == problems[j]
-            for i in range(len(problems))
-            for j in range(i + 1, len(problems))
-        )
-
-    def test_mix_respects_fraction_bounds(self):
-        only_mqo = synthetic_requests(8, seed=3, mqo_fraction=1.0, duplicate_fraction=0.0)
-        assert {r.kind for r in only_mqo} == {"mqo"}
-        only_join = synthetic_requests(8, seed=3, mqo_fraction=0.0, duplicate_fraction=0.0)
-        assert {r.kind for r in only_join} == {"join_order"}
 
 
 # ----------------------------------------------------------------------

@@ -440,16 +440,6 @@ class TestServing:
         with pytest.raises(ProblemError, match="expects a SqlQuery"):
             self._request(problem=random_mqo_problem(2, 2, seed=0))
 
-    def test_synthetic_requests_with_sql_fraction(self):
-        from repro.service import synthetic_requests
-
-        requests = synthetic_requests(12, seed=5, sql_fraction=1.0)
-        assert all(r.kind == "sql" for r in requests[:1])
-        assert any(r.kind == "sql" for r in requests)
-        # deterministic under seed
-        again = synthetic_requests(12, seed=5, sql_fraction=1.0)
-        assert [r.problem for r in requests] == [r.problem for r in again]
-
 
 # ----------------------------------------------------------------------
 # verify integration (satellite 1)
