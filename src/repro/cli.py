@@ -31,7 +31,8 @@ Commands
 ``verify``
     Run the cross-solver differential verification sweep: every
     registry solver plus the service fallback chain against exact
-    oracles, with the encoding-invariant catalog.
+    oracles, with the encoding-invariant catalog.  ``--inject BUG``
+    plants one known bug; ``--inject all`` proves each is caught.
 ``info``
     Show the package's system inventory and reproduction targets.
 """
@@ -665,7 +666,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     import json as _json
     import os
 
-    from repro.verify import run_verification
+    from repro.verify.runner import PLANTED_BUGS, prove_planted_bug, run_verification
 
     if args.cache_dir is not None:
         # the oracle cache resolves its directory from the environment
@@ -674,17 +675,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     solvers = None
     if args.solver:
         solvers = [s for s in (p.strip() for p in args.solver.split(",")) if s]
+    sweep = dict(suite=args.suite, solvers=solvers, seed=args.seed,
+                 workers=args.workers, oracle_cache=not args.no_cache)
 
-    report = run_verification(
-        suite=args.suite,
-        solvers=solvers,
-        seed=args.seed,
-        workers=args.workers,
-        inject=args.inject,
-        oracle_cache=not args.no_cache,
-        include_chain=not args.no_chain,
-        include_gate=not args.no_gate,
-    )
+    if args.inject == "all":
+        proofs = [prove_planted_bug(name, **sweep) for name in PLANTED_BUGS]
+        escaped = [proof.bug.name for proof in proofs if not proof.caught]
+        print(f"planted bugs: {len(proofs) - len(escaped)}/{len(proofs)} caught")
+        print("\n".join(proof.format_line() for proof in proofs))
+        if escaped:
+            print(f"error: planted bug(s) escaped: {', '.join(escaped)}", file=sys.stderr)
+            return 1
+        return 0
+
+    report = run_verification(inject=args.inject, **sweep)
     if args.json:
         print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -996,22 +1000,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle-cache directory (default: REPRO_CACHE_DIR or results/.cache)",
     )
     verify.add_argument(
-        "--no-chain", action="store_true",
-        help="skip the service fallback-chain points",
-    )
-    verify.add_argument(
-        "--no-gate", action="store_true",
-        help="skip the transpiled-circuit equivalence points",
-    )
-    verify.add_argument(
-        "--inject",
-        choices=(
-            "none", "offset", "ising", "decode", "energy", "compiled", "sql",
-            "router", "shard",
-        ),
-        default="none",
-        help="plant a known bug to prove the harness catches it "
-        "(must exit non-zero)",
+        "--inject", default="none", metavar="BUG",
+        help="plant a known bug (a name in repro.verify.PLANTED_BUGS) to prove "
+        "the harness catches it (must exit non-zero); 'all' plants each in "
+        "turn on its target point types and exits 0 only if all are caught",
     )
     verify.set_defaults(func=_cmd_verify)
 

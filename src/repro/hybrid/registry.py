@@ -535,7 +535,6 @@ def _make_fleet(
     restarts: int = 4,
     perturb_fraction: float = 0.3,
     seed: Optional[int] = None,
-    boundary_reconciliation: bool = True,
 ) -> DecomposingSolver:
     """Decomposing solver sharding across a homogeneous annealer fleet.
 
@@ -557,7 +556,6 @@ def _make_fleet(
         perturb_fraction=perturb_fraction,
         seed=seed,
         fleet=fleet,
-        boundary_reconciliation=boundary_reconciliation,
     )
 
 

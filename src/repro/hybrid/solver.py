@@ -171,11 +171,6 @@ class DecomposingSolver:
         are clamped against the same incumbent and annealed
         concurrently across the devices, and the merged assignment is
         boundary-reconciled before acceptance.
-    boundary_reconciliation:
-        Fleet mode only: run the frontier re-optimization pass on the
-        merged assignment (default).  Disabling it is the planted bug
-        the ``shard-reconciliation`` verify invariant exists to catch —
-        never turn it off outside harness self-tests.
     """
 
     name = "hybrid"
@@ -195,7 +190,6 @@ class DecomposingSolver:
         seed: Optional[int] = None,
         reuse_compiled: bool = True,
         fleet=None,
-        boundary_reconciliation: bool = True,
     ) -> None:
         if sub_size < 2:
             raise SolverError("sub_size must be at least 2")
@@ -231,7 +225,6 @@ class DecomposingSolver:
         self.seed = seed
         self.reuse_compiled = reuse_compiled
         self.fleet = fleet
-        self.boundary_reconciliation = bool(boundary_reconciliation)
         if fleet is not None:
             capacity = fleet.min_capacity()
             if capacity < 2:
@@ -369,7 +362,6 @@ class DecomposingSolver:
         best_energy = float("inf")
         total_rounds = 0
         total_subproblems = 0
-        reconciliations = 0
         for restart in range(self.restarts):
             if restart > 0 and deadline is not None and time.monotonic() >= deadline:
                 break
@@ -380,14 +372,13 @@ class DecomposingSolver:
             restart_seed = derive_seed(
                 root, _FLEET_SEED_SCOPE, {"restart": restart}
             )
-            sample, energy, rounds, subproblems, reconciled = self._fleet_refine(
+            sample, energy, rounds, subproblems = self._fleet_refine(
                 bqm, sample, components, weights, rng,
                 root=root, restart_seed=restart_seed, capacity=capacity,
                 deadline=deadline, caches=caches,
             )
             total_rounds += rounds
             total_subproblems += subproblems
-            reconciliations += reconciled
             if energy < best_energy - 1e-9:
                 best_sample, best_energy = sample, energy
 
@@ -398,8 +389,6 @@ class DecomposingSolver:
             "components": len(components),
             "decomposed": True,
             "fleet_size": fleet.size,
-            "boundary_reconciliation": self.boundary_reconciliation,
-            "reconciliations": reconciliations,
         }
         if caches is not None:
             info["block_cache_hits"] = caches.hits
@@ -437,7 +426,6 @@ class DecomposingSolver:
         energy = bqm.energy(sample)
         rounds = 0
         subproblems = 0
-        reconciled_rounds = 0
         stall = 0
         while rounds < self.max_rounds and stall < self.stall_rounds:
             if rounds > 0 and deadline is not None and time.monotonic() >= deadline:
@@ -461,22 +449,12 @@ class DecomposingSolver:
                 # incumbent patched with this shard alone
                 if shard_energy < best_single_energy:
                     best_single, best_single_energy = shard_sample, shard_energy
-            naive_energy = bqm.energy(naive)
 
-            if self.boundary_reconciliation:
-                frontier = frontier_variables(bqm, blocks)
-                merged, merged_energy = reconcile_boundary(
-                    bqm, naive, frontier,
-                    solve_block=lambda sub, s: self._solve_block(
-                        sub, s, caches=caches
-                    ),
-                    seed=derive_seed(
-                        restart_seed, _FLEET_SEED_SCOPE, {"round": rounds}
-                    ),
-                )
-                reconciled_rounds += 1
-            else:
-                merged, merged_energy = naive, naive_energy
+            merged, merged_energy = reconcile_boundary(
+                bqm, naive, frontier_variables(bqm, blocks),
+                solve_block=lambda sub, s: self._solve_block(sub, s, caches=caches),
+                seed=derive_seed(restart_seed, _FLEET_SEED_SCOPE, {"round": rounds}),
+            )
 
             if best_single is not None and best_single_energy < merged_energy:
                 candidate = dict(sample)
@@ -491,7 +469,7 @@ class DecomposingSolver:
                 stall = 0
             else:
                 stall += 1
-        return sample, energy, rounds, subproblems, reconciled_rounds
+        return sample, energy, rounds, subproblems
 
     # ------------------------------------------------------------------
     def _refine(

@@ -22,9 +22,9 @@ are roughly converged.
 
 By construction the router never puts a predicted-infeasible stage
 first while a predicted-feasible candidate exists — that is the
-``routing-regret`` invariant the verification sweep checks, and the
-``--inject router`` drift (an optimistic ``optimism < 1`` scale on the
-fit test) plants exactly the bug that breaks it.
+``routing-regret`` invariant the verification sweep checks; its planted
+bug (``--inject router``) hands the router a cost model that predicts
+every stage ~20x too fast.
 
 :meth:`RoutingPolicy.observe` closes the loop: every executed stage's
 measured runtime and validity update the model online, and the
@@ -99,7 +99,6 @@ class RoutingPolicy:
         self,
         candidates: Optional[Sequence[StageSpec]] = None,
         model: Optional[SolverCostModel] = None,
-        optimism: float = 1.0,
         headroom: float = 0.8,
     ) -> None:
         #: candidate stages in *quality* order (strongest first); the
@@ -108,10 +107,6 @@ class RoutingPolicy:
             tuple(candidates) if candidates is not None else default_policy()
         )
         self.model = model if model is not None else default_cost_model()
-        #: scale applied to predictions in the deadline-fit test only;
-        #: < 1 makes the router optimistic (used by ``--inject router``
-        #: to plant the bug the routing-regret invariant must catch)
-        self.optimism = float(optimism)
         #: fraction of the deadline a stage may be predicted to use and
         #: still count as fitting — the slack absorbs prediction error,
         #: compile/decode overhead outside the stage clock, and leaves
@@ -128,7 +123,7 @@ class RoutingPolicy:
         fits = [
             (spec, pred)
             for spec, pred in predictions
-            if pred * self.optimism <= self.headroom * deadline_ms
+            if pred <= self.headroom * deadline_ms
             # a stage that has been producing invalid plans for this
             # problem kind cannot "fit" no matter how fast it is — it
             # would just burn budget before the chain falls through
@@ -158,7 +153,7 @@ class RoutingPolicy:
         return RoutingDecision(
             policy=stages,
             predicted_ms=tuple((spec.solver, pred) for spec, pred in ordered),
-            predicted_completion_ms=ordered[0][1] * self.optimism,
+            predicted_completion_ms=ordered[0][1],
             feasible=feasible,
             deadline_ms=float(deadline_ms),
             features=features,

@@ -18,9 +18,7 @@ paper's formulation (and the parser) excludes.
 directly from the algebra tree, bypassing ``QueryGraph`` entirely — the
 differential-verification harness compares it against
 :func:`repro.joinorder.cost.cout_cost` on the extracted graph
-(`sql-plan-consistency`).  Its ``selectivity_scale`` knob exists purely
-for bug injection: scaling join selectivities models estimator drift
-between the two code paths.
+(`sql-plan-consistency`).
 """
 
 from __future__ import annotations
@@ -107,7 +105,6 @@ def _effective_cardinalities(
 def _pair_selectivities(
     bound: BoundQuery,
     joins: Sequence[Comparison],
-    scale: float = 1.0,
 ) -> Dict[FrozenSet[str], float]:
     pairs: Dict[FrozenSet[str], float] = {}
     for pred in joins:
@@ -117,7 +114,7 @@ def _pair_selectivities(
                 f"predicate {pred} references {len(aliases)} tables; only "
                 "binary join predicates are supported"
             )
-        sel = predicate_selectivity(bound, pred) * scale
+        sel = predicate_selectivity(bound, pred)
         pairs[aliases] = pairs.get(aliases, 1.0) * sel
     return {pair: _clamp_selectivity(sel) for pair, sel in pairs.items()}
 
@@ -178,16 +175,13 @@ def cost_from_plan(
     bound: BoundQuery,
     plan: PlanNode,
     order: Sequence[str],
-    selectivity_scale: float = 1.0,
 ) -> float:
     """C_out cost of a left-deep ``order``, computed from the algebra tree.
 
     Independent re-derivation of what
     :func:`repro.joinorder.cost.cout_cost` computes on the extracted
     graph: the sum over prefixes of ``∏ effective cardinalities × ∏ pair
-    selectivities within the prefix``.  ``selectivity_scale`` multiplies
-    every join selectivity — ``1.0`` for the honest estimate, anything
-    else simulates estimator drift for `--inject` verification runs.
+    selectivities within the prefix``.
     """
     aliases = set(bound.aliases)
     if sorted(order) != sorted(aliases):
@@ -197,7 +191,7 @@ def cost_from_plan(
         )
     local, joins = plan_predicates(plan)
     cards = _effective_cardinalities(bound, local)
-    pairs = _pair_selectivities(bound, joins, scale=selectivity_scale)
+    pairs = _pair_selectivities(bound, joins)
     cost = 0.0
     for i in range(2, len(order) + 1):
         prefix = set(order[:i])

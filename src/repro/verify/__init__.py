@@ -7,9 +7,9 @@ Three layers:
 * :mod:`repro.verify.invariants` — reusable invariant predicates
   (encoding round-trips, decode consistency, transpile equivalence,
   embedding validity) shared between the sweep and the pytest suite;
-* :mod:`repro.verify.runner` — the differential sweep over every
-  registry solver and the service fallback chain, fanned out through
-  :func:`repro.harness.run_grid`.
+* :mod:`repro.verify.runner` — the differential sweep, driven by one
+  registry of point types (``POINT_TYPES``) and planted bugs
+  (``PLANTED_BUGS``), fanned out through :func:`repro.harness.run_grid`.
 
 See ``docs/testing.md`` for the invariant catalog and how to get a
 new solver into the sweep.

@@ -518,20 +518,23 @@ def check_sql_plan_consistency(
     bound query, so any selectivity/cardinality estimator divergence
     between extraction and algebra shows up here.
 
-    ``drift`` scales the algebra path's join selectivities and exists
+    ``drift`` scales the extracted graph's join selectivities and exists
     for harness self-tests: ``drift != 1.0`` simulates exactly the
     estimator-drift bug class this invariant catches.
     """
+    from dataclasses import replace
+
     from repro.joinorder.cost import cout_cost
     from repro.sql import cost_from_plan
 
+    graph = sql_plan.graph
+    if drift != 1.0:
+        drifted = [replace(p, selectivity=p.selectivity * drift) for p in graph.predicates]
+        graph = replace(graph, predicates=tuple(drifted))
     violations: List[Violation] = []
     for index, order in enumerate(orders):
-        via_graph = cout_cost(sql_plan.graph, list(order))
-        via_algebra = cost_from_plan(
-            sql_plan.bound, sql_plan.optimized, list(order),
-            selectivity_scale=drift,
-        )
+        via_graph = cout_cost(graph, list(order))
+        via_algebra = cost_from_plan(sql_plan.bound, sql_plan.optimized, list(order))
         if not math.isclose(via_graph, via_algebra, rel_tol=1e-9, abs_tol=1e-9):
             violations.append(
                 Violation(
@@ -561,27 +564,29 @@ def check_routing_feasibility(
     features,
     deadlines_ms: Sequence[float],
     subject: str = "routing",
-    optimism: float = 1.0,
+    model=None,
 ) -> List[Violation]:
     """``routing-regret``: the router must lead with a feasible stage.
 
-    For every deadline, a fresh :class:`repro.routing.RoutingPolicy`
-    (priors only, ``optimism`` applied) decides a chain for
-    ``features``; an *unscaled* reference model then judges the
-    decision.  Whenever at least one candidate's true predicted
+    For every deadline, a :class:`repro.routing.RoutingPolicy` over
+    ``model`` (default: a fresh prior-only cost model) decides a chain
+    for ``features``; a fresh prior-only reference model then judges
+    the decision.  Whenever at least one candidate's true predicted
     runtime fits the deadline, the chain's first stage must be one of
     them — leading with a predicted-infeasible stage is regret the
     router could have avoided.  Predictions must also be finite and
     non-negative and every stage weight positive.
 
-    ``optimism != 1.0`` exists for harness self-tests: scaling the fit
-    test optimistic (``< 1``) plants exactly the over-eager-router bug
-    class this invariant catches (``--inject router``).
+    A ``model`` whose predictions are too optimistic plants exactly the
+    over-eager-router bug class this invariant catches
+    (``--inject router``).
     """
     from repro.routing import RoutingPolicy, default_cost_model
 
     reference = default_cost_model()
-    router = RoutingPolicy(model=default_cost_model(), optimism=optimism)
+    router = RoutingPolicy(
+        model=model if model is not None else default_cost_model()
+    )
     violations: List[Violation] = []
     for deadline_ms in deadlines_ms:
         decision = router.decide(features, deadline_ms)

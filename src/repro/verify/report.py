@@ -10,7 +10,7 @@ snapshot-tested directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence
 
 __all__ = ["SolverSummary", "VerificationReport", "summarize"]
 
@@ -27,7 +27,6 @@ class SolverSummary:
     optimal: int = 0  # valid plans matching the domain-optimum cost
     violations: int = 0
     cost_gaps: List[float] = field(default_factory=list)
-    energy_gaps: List[float] = field(default_factory=list)
 
     @property
     def invalid_rate(self) -> float:
@@ -145,14 +144,20 @@ def summarize(
     rows: Sequence[Dict[str, Any]],
     inject: str,
     seconds: float,
+    per_solver_types: AbstractSet[str],
 ) -> VerificationReport:
-    """Fold sweep rows into per-solver summaries + a flat violation list."""
+    """Fold sweep rows into per-solver summaries + a flat violation list.
+
+    Rows whose ``type`` is in ``per_solver_types`` count as one check
+    each and aggregate per solver; every other row contributes its
+    ``checks`` count.
+    """
     by_solver: Dict[str, SolverSummary] = {}
     violations: List[Dict[str, Any]] = []
     checks = 0
     for row in rows:
         violations.extend(_row_violations(row))
-        if row.get("type") in ("invariants", "gate", "sql", "routing", "shard"):
+        if row.get("type") not in per_solver_types:
             checks += int(row.get("checks", 0))
             continue
         checks += 1
@@ -170,9 +175,6 @@ def summarize(
                 gap = row.get("cost_gap_rel")
                 if gap is not None:
                     summary.cost_gaps.append(float(gap))
-        gap = row.get("energy_gap")
-        if gap is not None:
-            summary.energy_gaps.append(float(gap))
 
     return VerificationReport(
         suite=suite,

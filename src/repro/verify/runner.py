@@ -1,59 +1,44 @@
-"""The differential sweep: every registry solver (and the service
-fallback chain) against the oracle, over the seeded corpus.
+"""The differential sweep, driven by one registry of point types and
+planted bugs.
 
 Execution goes through :func:`repro.harness.run_grid`, so sweeps fan
 out over processes with the same deterministic per-point seeding as
 the experiment drivers: rows are bit-identical for any ``--workers``
 value, which is what makes ``--json`` output diffable across runs.
 
-Seven point types share one grid:
+:data:`POINT_TYPES` holds one :class:`PointType` per kind of grid
+point — its generator over the corpus, its check, and whether its rows
+count per solver in the summaries:
 
-``solver``      one registry solver on one case — compares the
-                reported energy against the recomputed sample energy,
-                the oracle ground energy (lower bound; equality for
-                ``exact``-capability solvers) and the domain-optimum
-                cost (lower bound on any valid decoded plan)
-``chain``       the service fallback chain (``repro.service.chain``)
-                on one case under an ample deadline — the chain must
-                return a valid plan and respect the same cost bound
-``invariants``  the per-case invariant catalog: encoding round-trips,
-                ``fix_variable`` conservation, decoded-plan ↔ raw-
-                bitstring consistency, and embedding-chain validity of
-                the case's interaction graph on a Chimera target
-``gate``        transpiled-circuit statevector equivalence on random
-                circuits, both all-to-all and line topologies
-``sql``         the SQL front door on generated TPC-H-style queries —
-                the C_out cost on the extracted join graph must equal
-                the cost recomputed from the relational-algebra tree
-                for random join orders (``sql-plan-consistency``)
-``routing``     the deadline-aware router (:mod:`repro.routing`) on
-                one case across a deadline sweep — the routed chain
-                must lead with a predicted-feasible stage whenever one
-                exists (``routing-regret``), with finite non-negative
-                predictions and positive budget weights
-``shard``       the fleet merge step (:mod:`repro.annealers` +
-                :func:`repro.hybrid.reconcile_boundary`) on one case —
-                shards annealed independently against a shared
-                incumbent must merge into a reconciled assignment
-                (``shard-reconciliation``): never worse than the naive
-                concatenation or a reference boundary pass, and with
-                no improving single frontier flip left
+``solver``      one registry solver on one case vs the oracle: reported
+                vs recomputed energy, ground-energy and optimum-cost bounds
+``chain``       the service fallback chain on one case under an ample
+                deadline: a valid plan within the same bounds
+``invariants``  the per-case catalog: encoding round-trips, ``fix_variable``
+                conservation, decode consistency, embedding validity
+``gate``        transpiled-circuit statevector equivalence
+``sql``         ``sql-plan-consistency`` on generated TPC-H-style queries
+``routing``     ``routing-regret`` of the deadline-aware router on one case
+``shard``       ``shard-reconciliation`` of the fleet merge on one case
 
-The ``inject`` parameter plants one of eight known bugs (an offset
-shift, a mis-scaled Ising coupling, a shifted decoded cost, a
-misreported solver energy, a dropped term in the array-compiled
-kernels, drifted SQL join selectivities, an optimistic routing
-cost model, or a skipped shard-boundary reconciliation) so the harness
-can prove it catches each —
-``python -m repro verify --inject offset`` must exit non-zero.
+:data:`PLANTED_BUGS` holds one :class:`PlantedBug` per known bug the
+harness plants in itself: the point types it targets, the invariant it
+must trip, and the :class:`Plant` that turns it on.  Every check reads
+its knobs from a :class:`Plant`; the honest sweep uses ``Plant()``.
+``python -m repro verify --inject offset`` plants one bug and must exit
+non-zero; ``--inject all`` plants each on its targets and exits zero
+only if every one was caught on every target.  Adding an invariant
+means adding one registry entry with its planted bug.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.harness import run_grid
+from repro.routing.model import SolverCostModel
 from repro.verify.corpus import Case, build_case, build_corpus
 from repro.verify.invariants import (
     Violation,
@@ -65,6 +50,9 @@ from repro.verify.invariants import (
     check_matrix_energy,
     check_mqo_decode_consistency,
     check_qubo_round_trip,
+    check_routing_feasibility,
+    check_shard_reconciliation,
+    check_sql_plan_consistency,
     check_transpile_equivalence,
     random_assignments,
     random_circuit,
@@ -74,6 +62,13 @@ from repro.verify.report import VerificationReport, summarize
 
 __all__ = [
     "INJECTABLE_BUGS",
+    "PLANTED_BUGS",
+    "POINT_TYPES",
+    "BugProof",
+    "Plant",
+    "PlantedBug",
+    "PointType",
+    "prove_planted_bug",
     "run_verification",
     "sweep_solver_names",
 ]
@@ -81,12 +76,6 @@ __all__ = [
 _EXPERIMENT = "verify_differential"
 _ENERGY_ATOL = 1e-6
 _CHAIN_DEADLINE_S = 60.0
-
-#: bugs the harness can plant in itself to prove it catches them
-INJECTABLE_BUGS = (
-    "none", "offset", "ising", "decode", "energy", "compiled", "sql", "router",
-    "shard",
-)
 
 #: registry aliases to drop from the default sweep (same object twice)
 _ALIASES = {"exhaustive"}
@@ -98,6 +87,10 @@ _ALIASES = {"exhaustive"}
 #: claim can actually be checked
 _SWEEP_LIMITS = {"vqe": 10, "qaoa": 10, "exact-eigen": 16, "exact": 20}
 
+#: deadline sweep (ms) for routing points: tight budgets where only
+#: the cheap stages fit, through ample ones where everything does
+_ROUTING_DEADLINES = (0.2, 0.5, 2.5, 10.0, 100.0)
+
 
 def sweep_solver_names() -> List[str]:
     """Registry solvers included in a default sweep (aliases deduped)."""
@@ -106,6 +99,37 @@ def sweep_solver_names() -> List[str]:
     return [name for name in solver_names() if name not in _ALIASES]
 
 
+# ----------------------------------------------------------------------
+# Plants: the knobs a planted bug turns
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Plant:
+    """What a planted bug changes in the harness; defaults are honest."""
+
+    bqm_offset: float = 0.0  # added to the model solvers and the chain see
+    energy_shift: float = 0.0  # added to every solver's reported energy
+    ising_j_scale: float = 1.0  # on the Ising couplings in the round trip
+    decode_cost_shift: float = 0.0  # added to the decoded plan cost
+    drop_compiled_term: bool = False  # compiled kernels drop one interaction
+    sql_drift: float = 1.0  # on the extracted SQL graph's join selectivities
+    router_scale: float = 1.0  # on the router's runtime predictions
+    reconcile: bool = True  # boundary pass after the naive shard merge
+
+
+class _ScaledCostModel(SolverCostModel):
+    """Prior-only cost model whose runtime predictions are scaled."""
+
+    def __init__(self, scale: float) -> None:
+        super().__init__()
+        self.scale = float(scale)
+
+    def predict_runtime_ms(self, solver, kind, features) -> float:
+        return super().predict_runtime_ms(solver, kind, features) * self.scale
+
+
+# ----------------------------------------------------------------------
+# Point checks: (params, seed, plant) -> row
+# ----------------------------------------------------------------------
 def _case_variables(params: Dict[str, Any]) -> int:
     """QUBO size of a case from its parameters alone (no build)."""
     if "queries" in params:
@@ -114,11 +138,7 @@ def _case_variables(params: Dict[str, Any]) -> int:
 
 
 def _case_from_params(params: Dict[str, Any]) -> Case:
-    return Case(
-        case_id=params["case_id"],
-        kind=params["kind"],
-        params=dict(params["case"]),
-    )
+    return Case(case_id=params["case_id"], kind=params["kind"], params=dict(params["case"]))
 
 
 def _oracle_record(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -127,6 +147,26 @@ def _oracle_record(params: Dict[str, Any]) -> Dict[str, Any]:
         energy_limit=int(params["energy_limit"]),
         cache=bool(params["oracle_cache"]),
     )
+
+
+def _planted_bqm(bqm, plant: Plant):
+    if not plant.bqm_offset:
+        return bqm
+    shifted = bqm.copy()
+    shifted.offset += plant.bqm_offset
+    return shifted
+
+
+def _checks_row(
+    case_id: str, checks: int, violations: Sequence[Violation]
+) -> Dict[str, Any]:
+    """Row of a point type whose checks are not per solver."""
+    return {
+        "case_id": case_id,
+        "solver": None,
+        "checks": checks,
+        "violations": [v.to_dict() for v in violations],
+    }
 
 
 def _energy_checks(
@@ -203,88 +243,85 @@ def _cost_checks(
     return []
 
 
-def _solver_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def _plan_row(
+    params: Dict[str, Any],
+    solver: str,
+    oracle: Dict[str, Any],
+    violations: List[Dict[str, Any]],
+    valid: bool,
+    cost: Optional[float],
+    **fields: Any,
+) -> Dict[str, Any]:
+    """Row of a per-solver point type: plan quality vs the oracle."""
+    oracle_cost = oracle.get("cost")
+    return {
+        "case_id": params["case_id"],
+        "solver": solver,
+        "oracle_energy": oracle.get("energy"),
+        "valid": bool(valid),
+        "cost": float(cost) if valid else None,
+        "oracle_cost": oracle_cost,
+        "cost_gap_rel": (
+            (float(cost) - oracle_cost) / oracle_cost if valid and oracle_cost else None
+        ),
+        "violations": violations,
+        **fields,
+    }
+
+
+def _solver_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, Any]:
     """Run one registry solver on one case and compare against oracle."""
     from repro.hybrid.registry import make_solver
 
     built = build_case(_case_from_params(params))
     oracle = _oracle_record(params)
-    inject = params["inject"]
-    bqm = built.bqm
-    if inject == "offset":
-        bqm = bqm.copy()
-        bqm.offset -= 1.0
+    bqm = _planted_bqm(built.bqm, plant)
+    name = params["solver"]
 
-    solver = make_solver(params["solver"])
+    solver = make_solver(name)
     result = solver.solve(bqm, seed=seed)
-    reported_energy = float(result.energy)
-    if inject == "energy":
-        reported_energy -= 0.5
+    reported_energy = float(result.energy) + plant.energy_shift
     sample_energy = float(bqm.energy(result.sample)) if result.sample else None
 
-    violations = list(oracle.get("violations", ()))
-    violations += [
-        v.to_dict()
-        for v in _energy_checks(
-            params["solver"],
-            solver.capabilities,
-            reported_energy,
-            sample_energy,
-            oracle,
-        )
-    ]
+    found = _energy_checks(
+        name, solver.capabilities, reported_energy, sample_energy, oracle
+    )
     plan, cost, valid = built.adapter.decode(dict(result.sample))
     if valid and not built.adapter.validate(plan):
-        violations.append(
+        found.append(
             Violation(
                 invariant="decode-validate-agreement",
-                subject=params["solver"],
+                subject=name,
                 message="decode reported a valid plan that validate() rejects",
                 details={"plan": plan},
-            ).to_dict()
+            )
         )
-    violations += [
-        v.to_dict() for v in _cost_checks(params["solver"], valid, cost, oracle)
-    ]
+    found += _cost_checks(name, valid, cost, oracle)
 
     oracle_energy = oracle.get("energy")
-    oracle_cost = oracle.get("cost")
-    return {
-        "type": "solver",
-        "case_id": params["case_id"],
-        "solver": params["solver"],
-        "num_variables": bqm.num_variables,
-        "energy": sample_energy if sample_energy is not None else reported_energy,
-        "oracle_energy": oracle_energy,
-        "energy_gap": (
+    return _plan_row(
+        params, name, oracle,
+        list(oracle.get("violations", ())) + [v.to_dict() for v in found],
+        valid, cost,
+        num_variables=bqm.num_variables,
+        energy=sample_energy if sample_energy is not None else reported_energy,
+        energy_gap=(
             None
             if oracle_energy is None or sample_energy is None
             else sample_energy - oracle_energy
         ),
-        "valid": bool(valid),
-        "cost": None if not valid else float(cost),
-        "oracle_cost": oracle_cost,
-        "cost_gap_rel": (
-            (float(cost) - oracle_cost) / oracle_cost
-            if valid and oracle_cost
-            else None
-        ),
-        "violations": violations,
-    }
+    )
 
 
-def _chain_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def _chain_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, Any]:
     """Run the service fallback chain on one case under ample deadline."""
     from repro.service.chain import default_policy, run_chain
 
     built = build_case(_case_from_params(params))
     oracle = _oracle_record(params)
-    if params["inject"] == "offset":
-        # corrupt the compiled model the chain solves (same hook as the
-        # solver points: adapter.bqm() is compiled lazily and cached)
-        bqm = built.adapter.bqm().copy()
-        bqm.offset -= 1.0
-        built.adapter._bqm = bqm
+    # the chain solves adapter.bqm(), compiled lazily and cached on the
+    # adapter: planting there reaches every stage
+    built.adapter._bqm = _planted_bqm(built.adapter.bqm(), plant)
 
     outcome = run_chain(
         built.adapter,
@@ -293,65 +330,54 @@ def _chain_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         seed=seed,
         mode="first_valid",
     )
-    violations = list(oracle.get("violations", ()))
+    found: List[Violation] = []
     if not outcome.valid:
-        violations.append(
+        found.append(
             Violation(
                 invariant="chain-valid-guarantee",
                 subject="chain",
                 message="the fallback chain returned an invalid plan",
                 details={"served_by": outcome.served_by},
-            ).to_dict()
+            )
         )
     elif not built.adapter.validate(outcome.plan):
-        violations.append(
+        found.append(
             Violation(
                 invariant="chain-plan-validity",
                 subject="chain",
                 message="the chain's plan fails the adapter's validate()",
                 details={"served_by": outcome.served_by, "plan": outcome.plan},
-            ).to_dict()
+            )
         )
-    violations += [
-        v.to_dict()
-        for v in _cost_checks("chain", outcome.valid, float(outcome.cost), oracle)
-    ]
-    oracle_cost = oracle.get("cost")
-    return {
-        "type": "chain",
-        "case_id": params["case_id"],
-        "solver": "chain",
-        "num_variables": _case_variables(params["case"]),
-        "energy": outcome.energy,
-        "oracle_energy": oracle.get("energy"),
-        "energy_gap": None,
-        "valid": bool(outcome.valid),
-        "cost": float(outcome.cost) if outcome.valid else None,
-        "oracle_cost": oracle_cost,
-        "cost_gap_rel": (
-            (float(outcome.cost) - oracle_cost) / oracle_cost
-            if outcome.valid and oracle_cost
-            else None
-        ),
-        "served_by": outcome.served_by,
-        "violations": violations,
-    }
+    if outcome.energy is not None:
+        found += _energy_checks("chain", (), outcome.energy, None, oracle)
+    found += _cost_checks("chain", outcome.valid, float(outcome.cost), oracle)
+    return _plan_row(
+        params, "chain", oracle,
+        list(oracle.get("violations", ())) + [v.to_dict() for v in found],
+        outcome.valid, outcome.cost,
+        num_variables=_case_variables(params["case"]),
+        energy=outcome.energy,
+        energy_gap=None,
+        served_by=outcome.served_by,
+    )
 
 
-def _invariant_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def _invariants_check(
+    params: Dict[str, Any], seed: int, plant: Plant
+) -> Dict[str, Any]:
     """Run the per-case invariant catalog."""
     import networkx as nx
     import numpy as np
 
     built = build_case(_case_from_params(params))
-    inject = params["inject"]
     bqm = built.bqm
     samples = random_assignments(bqm, 24, seed)
     subject = params["case_id"]
 
     violations: List[Violation] = []
     violations += check_ising_round_trip(
-        bqm, samples, subject=subject, j_scale=1.001 if inject == "ising" else 1.0
+        bqm, samples, subject=subject, j_scale=plant.ising_j_scale
     )
     violations += check_qubo_round_trip(bqm, samples, subject=subject)
     violations += check_matrix_energy(bqm, samples, subject=subject)
@@ -359,14 +385,13 @@ def _invariant_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         bqm,
         samples,
         subject=subject,
-        drop_interaction=(inject == "compiled"),
+        drop_interaction=plant.drop_compiled_term,
         seed=seed,
     )
     violations += check_fix_variable_conservation(bqm, samples[:6], subject=subject)
 
-    cost_shift = 1.0 if inject == "decode" else 0.0
+    rng = np.random.default_rng(seed)
     if params["kind"] == "mqo":
-        rng = np.random.default_rng(seed)
         decode_samples = list(samples)
         # add guaranteed-valid selections: one random plan per query
         from repro.mqo.qubo import variable_name
@@ -383,14 +408,14 @@ def _invariant_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             bqm,
             decode_samples,
             subject=subject,
-            cost_shift=cost_shift,
+            cost_shift=plant.decode_cost_shift,
         )
     else:
-        rng = np.random.default_rng(seed)
         names = list(built.problem.relation_names)
         orders = [tuple(rng.permutation(names)) for _ in range(8)]
         violations += check_join_decode_consistency(
-            built.builder, bqm, orders, subject=subject, cost_shift=cost_shift
+            built.builder, bqm, orders, subject=subject,
+            cost_shift=plant.decode_cost_shift,
         )
 
     # embedding-chain validity of this case's interaction graph on a
@@ -412,16 +437,10 @@ def _invariant_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         )
         checks += 1
 
-    return {
-        "type": "invariants",
-        "case_id": params["case_id"],
-        "solver": None,
-        "checks": checks,
-        "violations": [v.to_dict() for v in violations],
-    }
+    return _checks_row(params["case_id"], checks, violations)
 
 
-def _gate_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def _gate_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, Any]:
     """Transpiled-circuit equivalence on one random circuit."""
     from repro.gate.topologies import line_coupling_map
 
@@ -432,21 +451,14 @@ def _gate_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     violations = check_transpile_equivalence(
         circuit, coupling_map=coupling, seed=seed, subject=subject
     )
-    return {
-        "type": "gate",
-        "case_id": subject,
-        "solver": None,
-        "checks": 1,
-        "violations": [v.to_dict() for v in violations],
-    }
+    return _checks_row(subject, 1, violations)
 
 
-def _sql_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def _sql_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, Any]:
     """sql-plan-consistency on one generated TPC-H-style query."""
     import numpy as np
 
     from repro.sql import generate_query, plan_query
-    from repro.verify.invariants import check_sql_plan_consistency
 
     query_seed = int(params["query_seed"])
     sql = generate_query(
@@ -458,161 +470,154 @@ def _sql_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     rng = np.random.default_rng(seed)
     names = list(plan.graph.relation_names)
     orders = [tuple(str(n) for n in rng.permutation(names)) for _ in range(8)]
-    drift = 1.01 if params["inject"] == "sql" else 1.0
     subject = f"sql-query-{query_seed}"
     violations = check_sql_plan_consistency(
-        plan, orders, subject=subject, drift=drift
+        plan, orders, subject=subject, drift=plant.sql_drift
     )
-    return {
-        "type": "sql",
-        "case_id": subject,
-        "solver": None,
-        "checks": len(orders),
-        "violations": [v.to_dict() for v in violations],
-    }
+    return _checks_row(subject, len(orders), violations)
 
 
-#: deadline sweep (ms) for routing points: tight budgets where only
-#: the cheap stages fit, through ample ones where everything does
-_ROUTING_DEADLINES = (0.2, 0.5, 2.5, 10.0, 100.0)
-
-
-def _routing_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def _routing_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, Any]:
     """routing-regret + prediction sanity on one case's features."""
     from repro.routing import extract_features
-    from repro.verify.invariants import check_routing_feasibility
 
     built = build_case(_case_from_params(params))
-    features = extract_features(built.adapter)
-    # an optimistic fit test is exactly the bug class the invariant
-    # exists to catch: the router believes every stage is ~20x faster
-    # than the model says and fronts infeasible stages at tight deadlines
-    optimism = 0.05 if params["inject"] == "router" else 1.0
     violations = check_routing_feasibility(
-        features,
+        extract_features(built.adapter),
         _ROUTING_DEADLINES,
         subject=params["case_id"],
-        optimism=optimism,
+        model=_ScaledCostModel(plant.router_scale),
     )
-    return {
-        "type": "routing",
-        "case_id": params["case_id"],
-        "solver": None,
-        "checks": len(_ROUTING_DEADLINES),
-        "violations": [v.to_dict() for v in violations],
-    }
+    return _checks_row(params["case_id"], len(_ROUTING_DEADLINES), violations)
 
 
-def _shard_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """shard-reconciliation on one case's QUBO.
-
-    ``--inject shard`` skips the boundary pass after the naive shard
-    merge — the exact bug :class:`repro.hybrid.DecomposingSolver`'s
-    ``boundary_reconciliation=False`` knob would reintroduce.
-    """
-    from repro.verify.invariants import check_shard_reconciliation
-
+def _shard_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, Any]:
+    """shard-reconciliation on one case's QUBO."""
     built = build_case(_case_from_params(params))
     violations = check_shard_reconciliation(
-        built.bqm,
-        seed=seed,
-        subject=params["case_id"],
-        reconcile=(params["inject"] != "shard"),
+        built.bqm, seed=seed, subject=params["case_id"], reconcile=plant.reconcile
     )
-    return {
-        "type": "shard",
-        "case_id": params["case_id"],
-        "solver": None,
-        "checks": 3,
-        "violations": [v.to_dict() for v in violations],
-    }
+    return _checks_row(params["case_id"], 3, violations)
 
 
-def _verify_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Grid dispatch (module-level: must pickle into pool workers)."""
-    kind = params["type"]
-    if kind == "solver":
-        return _solver_point(params, seed)
-    if kind == "chain":
-        return _chain_point(params, seed)
-    if kind == "invariants":
-        return _invariant_point(params, seed)
-    if kind == "gate":
-        return _gate_point(params, seed)
-    if kind == "sql":
-        return _sql_point(params, seed)
-    if kind == "routing":
-        return _routing_point(params, seed)
-    if kind == "shard":
-        return _shard_point(params, seed)
-    raise ConfigurationError(f"unknown verification point type {kind!r}")
+# ----------------------------------------------------------------------
+# Point generators: (cases, solvers) -> grid points
+# ----------------------------------------------------------------------
+def _case_params(case: Case) -> Dict[str, Any]:
+    return {"case_id": case.case_id, "kind": case.kind, "case": dict(case.params)}
 
 
-def _build_points(
-    cases: Sequence[Case],
-    solvers: Sequence[str],
-    inject: str,
-    oracle_cache: bool,
-    energy_limit: int,
-    include_chain: bool,
-    include_gate: bool,
+def _per_case(cases: Sequence[Case], solvers: Sequence[str]) -> List[Dict[str, Any]]:
+    return [_case_params(case) for case in cases]
+
+
+def _solver_points(
+    cases: Sequence[Case], solvers: Sequence[str]
 ) -> List[Dict[str, Any]]:
+    """One point per (case, solver) within the solver's sweep cap."""
     from repro.hybrid.registry import make_solver
 
-    points: List[Dict[str, Any]] = []
-    base = {
-        "inject": inject,
-        "oracle_cache": oracle_cache,
-        "energy_limit": energy_limit,
-    }
     limits = {}
     for name in solvers:
-        solver = make_solver(name)
-        cap = solver.max_variables
+        cap = make_solver(name).max_variables
         sweep_cap = _SWEEP_LIMITS.get(name)
         if sweep_cap is not None:
             cap = sweep_cap if cap is None else min(cap, sweep_cap)
         limits[name] = cap
-    for case in cases:
-        case_base = {
-            **base,
-            "case_id": case.case_id,
-            "kind": case.kind,
-            "case": dict(case.params),
-        }
-        for name in solvers:
-            cap = limits[name]
-            if cap is not None and _case_variables(case.params) > cap:
-                continue
-            points.append({**case_base, "type": "solver", "solver": name})
-        if include_chain:
-            points.append({**case_base, "type": "chain"})
-        points.append({**case_base, "type": "invariants"})
-        points.append({**case_base, "type": "routing"})
-        points.append({**case_base, "type": "shard"})
-    if include_gate:
-        for qubits, depth in ((4, 4), (5, 3)):
-            for coupling in ("full", "line"):
-                points.append(
-                    {
-                        "type": "gate",
-                        "inject": inject,
-                        "qubits": qubits,
-                        "depth": depth,
-                        "coupling": coupling,
-                    }
-                )
-    for query_seed in (101, 202, 303):
-        points.append(
-            {
-                "type": "sql",
-                "inject": inject,
-                "query_seed": query_seed,
-                "min_tables": 3,
-                "max_tables": 6,
-            }
-        )
-    return points
+    return [
+        {**_case_params(case), "solver": name}
+        for case in cases
+        for name in solvers
+        if limits[name] is None or _case_variables(case.params) <= limits[name]
+    ]
+
+
+def _gate_points(cases: Sequence[Case], solvers: Sequence[str]) -> List[Dict[str, Any]]:
+    return [
+        {"qubits": qubits, "depth": depth, "coupling": coupling}
+        for qubits, depth in ((4, 4), (5, 3))
+        for coupling in ("full", "line")
+    ]
+
+
+def _sql_points(cases: Sequence[Case], solvers: Sequence[str]) -> List[Dict[str, Any]]:
+    return [
+        {"query_seed": query_seed, "min_tables": 3, "max_tables": 6}
+        for query_seed in (101, 202, 303)
+    ]
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class PointType:
+    """One kind of grid point: how to generate it and how to check it."""
+
+    name: str
+    #: ``(cases, solvers) -> [params]`` over the corpus
+    points: Callable[[Sequence[Case], Sequence[str]], List[Dict[str, Any]]]
+    #: ``(params, seed, plant) -> row``
+    check: Callable[[Dict[str, Any], int, Plant], Dict[str, Any]]
+    #: rows count per solver in the summaries (else as ``checks``)
+    per_solver: bool = False
+
+
+@dataclass(frozen=True)
+class PlantedBug:
+    """A known bug the harness plants in itself to prove it is caught."""
+
+    name: str
+    #: point types the bug reaches; each must report a violation
+    targets: Tuple[str, ...]
+    #: the invariant the bug must trip
+    invariant: str
+    plant: Plant
+
+
+POINT_TYPES: Dict[str, PointType] = {
+    t.name: t
+    for t in (
+        PointType("solver", _solver_points, _solver_check, per_solver=True),
+        PointType("chain", _per_case, _chain_check, per_solver=True),
+        PointType("invariants", _per_case, _invariants_check),
+        PointType("gate", _gate_points, _gate_check),
+        PointType("sql", _sql_points, _sql_check),
+        PointType("routing", _per_case, _routing_check),
+        PointType("shard", _per_case, _shard_check),
+    )
+}
+
+PLANTED_BUGS: Dict[str, PlantedBug] = {
+    bug.name: bug
+    for bug in (
+        PlantedBug("offset", ("solver", "chain"), "oracle-energy-lower-bound",
+                   Plant(bqm_offset=-1.0)),
+        PlantedBug("ising", ("invariants",), "ising-round-trip",
+                   Plant(ising_j_scale=1.001)),
+        PlantedBug("decode", ("invariants",), "decode-cost-consistency",
+                   Plant(decode_cost_shift=1.0)),
+        PlantedBug("energy", ("solver",), "reported-energy-consistency",
+                   Plant(energy_shift=-0.5)),
+        PlantedBug("compiled", ("invariants",), "compiled-energy-consistency",
+                   Plant(drop_compiled_term=True)),
+        PlantedBug("sql", ("sql",), "sql-plan-consistency", Plant(sql_drift=0.99)),
+        # a router that believes every stage is ~20x faster than it is
+        PlantedBug("router", ("routing",), "routing-regret", Plant(router_scale=0.05)),
+        PlantedBug("shard", ("shard",), "shard-reconciliation", Plant(reconcile=False)),
+    )
+}
+
+#: values of ``inject`` a single sweep accepts
+INJECTABLE_BUGS = ("none", *PLANTED_BUGS)
+
+
+def _verify_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Grid dispatch (module-level: must pickle into pool workers)."""
+    inject = params["inject"]
+    plant = Plant() if inject == "none" else PLANTED_BUGS[inject].plant
+    row = POINT_TYPES[params["type"]].check(params, seed, plant)
+    return {"type": params["type"], **row}
 
 
 def run_verification(
@@ -623,19 +628,26 @@ def run_verification(
     inject: str = "none",
     oracle_cache: bool = True,
     energy_limit: int = DEFAULT_ENERGY_LIMIT,
-    include_chain: bool = True,
-    include_gate: bool = True,
+    types: Optional[Sequence[str]] = None,
 ) -> VerificationReport:
     """Execute the differential sweep and assemble a report.
 
-    Deterministic for a fixed ``(suite, solvers, seed, inject)``
-    regardless of ``workers`` — the report's ``to_dict()`` form is
-    byte-identical across worker counts.
+    ``types`` selects point types by registry name (default: all of
+    :data:`POINT_TYPES`).  Deterministic for a fixed ``(suite,
+    solvers, seed, inject, types)`` regardless of ``workers`` — the
+    report's ``to_dict()`` form is byte-identical across worker counts.
     """
     if inject not in INJECTABLE_BUGS:
         raise ConfigurationError(
             f"unknown injection {inject!r}; expected one of {', '.join(INJECTABLE_BUGS)}"
         )
+    unknown = sorted(set(types or ()) - set(POINT_TYPES))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown point type(s) {', '.join(unknown)}; "
+            f"expected some of {', '.join(POINT_TYPES)}"
+        )
+    selected = [POINT_TYPES[name] for name in (types or POINT_TYPES)]
     registry = sweep_solver_names()
     if solvers is None:
         solvers = registry
@@ -649,9 +661,12 @@ def run_verification(
         solvers = list(solvers)
 
     cases = build_corpus(suite, seed=seed)
-    points = _build_points(
-        cases, solvers, inject, oracle_cache, energy_limit, include_chain, include_gate
-    )
+    base = {"inject": inject, "oracle_cache": oracle_cache, "energy_limit": energy_limit}
+    points = [
+        {**base, "type": ptype.name, **params}
+        for ptype in selected
+        for params in ptype.points(cases, solvers)
+    ]
     results = run_grid(
         points,
         _verify_point,
@@ -670,4 +685,42 @@ def run_verification(
         rows=rows,
         inject=inject,
         seconds=seconds,
+        per_solver_types={t.name for t in POINT_TYPES.values() if t.per_solver},
     )
+
+
+# ----------------------------------------------------------------------
+# --inject all: prove every planted bug is caught
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class BugProof:
+    """One planted bug's run: violations of its invariant per target."""
+
+    bug: PlantedBug
+    hits: Dict[str, int]  # target point type -> violations of bug.invariant
+
+    @property
+    def caught(self) -> bool:
+        return all(self.hits.values())
+
+    def format_line(self) -> str:
+        found = ", ".join(f"{t} ({n})" for t, n in self.hits.items())
+        status = "caught " if self.caught else "ESCAPED"
+        return f"  {self.bug.name:<9} {status} {self.bug.invariant} on {found}"
+
+
+def prove_planted_bug(name: str, **sweep: Any) -> BugProof:
+    """Plant bug ``name`` on its target point types and count the
+    violations of its declared invariant per type.
+
+    ``sweep`` is passed through to :func:`run_verification` (suite,
+    solvers, seed, workers, oracle settings).
+    """
+    bug = PLANTED_BUGS[name]
+    report = run_verification(inject=name, types=bug.targets, **sweep)
+    hits = {target: 0 for target in bug.targets}
+    for row in report.rows:
+        hits[row["type"]] += sum(
+            1 for v in row["violations"] if v.get("invariant") == bug.invariant
+        )
+    return BugProof(bug=bug, hits=hits)

@@ -126,15 +126,6 @@ def test_registry_fleet_solver():
     assert result.info["fleet_size"] == 2
 
 
-def test_boundary_reconciliation_flag_reaches_info():
-    bqm = mqo_to_bqm(random_mqo_problem(10, 3, seed=8))
-    result = _solve(
-        2, bqm, seed=3, restarts=1, max_rounds=3, boundary_reconciliation=False
-    )
-    assert result.info["boundary_reconciliation"] is False
-    assert bqm.energy(result.sample) == pytest.approx(result.energy, abs=1e-9)
-
-
 def test_fleet_below_minimum_capacity_rejected():
     # a 1x1 Chimera cell with t=1 natively fits a single variable:
     # too small to decompose against, so the solver refuses the fleet

@@ -9,8 +9,7 @@ leans on:
   observation streams, and converge to a constant observed runtime;
 * the router never leads with a predicted-infeasible stage while a
   predicted-feasible candidate exists (the ``routing-regret``
-  invariant), and the verification sweep's ``--inject router`` drift
-  is actually caught.
+  invariant), which the verification sweep checks.
 """
 
 import math
@@ -34,7 +33,7 @@ from repro.routing.router import _MIN_STAGE_WEIGHT, _weight_bucket
 from repro.service import OptimizationRequest, OptimizationService
 from repro.service.chain import ChainOutcome, default_policy
 from repro.service.problems import make_adapter
-from repro.verify import check_routing_feasibility, run_verification
+from repro.verify import run_verification
 
 
 def mqo_features(queries=4, ppq=3, seed=11):
@@ -301,13 +300,6 @@ class TestRouter:
         section = routing_section(snapshot, router.model.snapshot(), ["greedy"])
         assert section["enabled"] and section["deadline_miss_rate"] == 1.0
 
-    def test_injected_optimism_breaks_feasibility_invariant(self):
-        features = mqo_features(6, 3, seed=2)
-        clean = check_routing_feasibility(features, [0.2, 0.5], optimism=1.0)
-        assert clean == []
-        drifted = check_routing_feasibility(features, [0.2, 0.5], optimism=0.05)
-        assert any(v.invariant == "routing-regret" for v in drifted)
-
 
 class TestRoutedService:
     def request(self, seed, deadline_ms=5_000.0, kind="mqo"):
@@ -415,28 +407,8 @@ class TestRoutedService:
 
 
 class TestVerifyIntegration:
-    def test_inject_router_is_detected(self):
-        report = run_verification(
-            suite="quick",
-            solvers=["greedy"],
-            seed=0,
-            inject="router",
-            include_chain=False,
-            include_gate=False,
-        )
-        assert not report.ok
-        assert any(
-            v.get("invariant") == "routing-regret" for v in report.violations
-        )
-
     def test_clean_sweep_has_no_routing_violations(self):
-        report = run_verification(
-            suite="quick",
-            solvers=["greedy"],
-            seed=0,
-            include_chain=False,
-            include_gate=False,
-        )
+        report = run_verification(suite="quick", seed=0, types=["routing"])
         routing_rows = [r for r in report.rows if r.get("type") == "routing"]
         assert routing_rows  # every case contributes a routing point
         assert all(not r["violations"] for r in routing_rows)

@@ -1,6 +1,7 @@
 """Tests for the differential-verification subsystem (repro.verify)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,8 @@ from repro.verify import (
     run_verification,
     sweep_solver_names,
 )
+from repro.verify import runner
+from repro.verify.runner import PLANTED_BUGS, POINT_TYPES, Plant, prove_planted_bug
 
 
 def _mqo_case(queries=2, ppq=2, seed=5):
@@ -246,8 +249,7 @@ class TestRunner:
             suite="quick",
             solvers=["exact", "greedy"],
             seed=0,
-            include_chain=False,
-            include_gate=False,
+            types=["solver", "invariants", "sql", "routing", "shard"],
         )
         assert report.ok
         assert [s.solver for s in report.summaries] == ["exact", "greedy"]
@@ -255,63 +257,12 @@ class TestRunner:
         assert exact.cases == exact.valid == exact.optimal == 5
         assert exact.invalid_rate == 0.0
 
-    def test_injected_energy_bug_is_detected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        report = run_verification(
-            suite="quick",
-            solvers=["exact"],
-            seed=0,
-            inject="energy",
-            include_chain=False,
-            include_gate=False,
-        )
-        assert not report.ok
-        first = report.first_violation()
-        assert first["invariant"] == "reported-energy-consistency"
-        assert first["subject"] == "exact"
-
-    def test_injected_compiled_bug_is_detected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        report = run_verification(
-            suite="quick",
-            solvers=["greedy"],
-            seed=0,
-            inject="compiled",
-            include_chain=False,
-            include_gate=False,
-        )
-        assert not report.ok
-        first = report.first_violation()
-        assert first["invariant"] == "compiled-energy-consistency"
-
     def test_sql_points_run_clean(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        report = run_verification(
-            suite="quick",
-            solvers=["greedy"],
-            seed=0,
-            include_chain=False,
-            include_gate=False,
-        )
+        report = run_verification(suite="quick", seed=0, types=["sql"])
         assert report.ok
-        sql_rows = [r for r in report.rows if r.get("type") == "sql"]
-        assert len(sql_rows) == 3
-        assert all(r["checks"] > 0 for r in sql_rows)
-
-    def test_injected_sql_estimator_drift_is_detected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        report = run_verification(
-            suite="quick",
-            solvers=["greedy"],
-            seed=0,
-            inject="sql",
-            include_chain=False,
-            include_gate=False,
-        )
-        assert not report.ok
-        first = report.first_violation()
-        assert first["invariant"] == "sql-plan-consistency"
-        assert first["subject"].startswith("sql-query-")
+        assert len(report.rows) == 3
+        assert all(r["type"] == "sql" and r["checks"] > 0 for r in report.rows)
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown solver"):
@@ -321,10 +272,29 @@ class TestRunner:
         with pytest.raises(ConfigurationError, match="unknown injection"):
             run_verification(suite="quick", inject="cosmic-rays")
 
+    def test_unknown_point_type_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown point type"):
+            run_verification(suite="quick", types=["solver", "telepathy"])
+
     def test_sweep_names_hide_aliases(self):
         names = sweep_solver_names()
         assert "exhaustive" not in names
         assert "exact" in names and "hybrid" in names
+
+
+class TestPlantedBugs:
+    @pytest.mark.parametrize("name", list(PLANTED_BUGS))
+    def test_caught_on_every_target(self, name, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        bug = PLANTED_BUGS[name]
+        assert bug.targets and set(bug.targets) <= set(POINT_TYPES)
+        sweep = dict(suite="quick", solvers=["exact", "greedy"], seed=0)
+        clean = run_verification(types=bug.targets, **sweep)
+        assert clean.ok, clean.first_violation()
+        assert {row["type"] for row in clean.rows} == set(bug.targets)
+        proof = prove_planted_bug(name, **sweep)
+        assert proof.caught, proof.format_line()
+        assert all(proof.hits[target] > 0 for target in bug.targets)
 
 
 class TestCli:
@@ -337,8 +307,6 @@ class TestCli:
                 "--seed", "0",
                 "--workers", str(workers),
                 "--json",
-                "--no-gate",
-                "--no-chain",
                 "--cache-dir", str(tmp_path),
             ]
         )
@@ -362,8 +330,6 @@ class TestCli:
                 "--solver", "exact",
                 "--seed", "0",
                 "--inject", "offset",
-                "--no-gate",
-                "--no-chain",
                 "--cache-dir", str(tmp_path),
             ]
         )
@@ -379,8 +345,6 @@ class TestCli:
                 "--suite", "quick",
                 "--solver", "greedy",
                 "--seed", "0",
-                "--no-gate",
-                "--no-chain",
                 "--cache-dir", str(tmp_path),
             ]
         )
@@ -388,3 +352,28 @@ class TestCli:
         assert code == 0
         assert "greedy" in captured.out
         assert "violations=0" in captured.out
+
+    def test_inject_all_names_the_bug_that_escapes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(
+            runner.PLANTED_BUGS, "sql", replace(PLANTED_BUGS["sql"], plant=Plant())
+        )
+        code = main(
+            [
+                "verify",
+                "--suite", "quick",
+                "--solver", "greedy",
+                "--seed", "0",
+                "--workers", "1",
+                "--inject", "all",
+                "--cache-dir", str(tmp_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: planted bug(s) escaped: sql" in captured.err
+        lines = captured.out.splitlines()
+        assert "7/8 caught" in lines[0]
+        assert len(lines) == 1 + len(PLANTED_BUGS)
+        for name, line in zip(PLANTED_BUGS, lines[1:]):
+            status = "ESCAPED" if name == "sql" else "caught"
+            assert line.split()[:2] == [name, status]
