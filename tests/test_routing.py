@@ -9,7 +9,8 @@ leans on:
   observation streams, and converge to a constant observed runtime;
 * the router never leads with a predicted-infeasible stage while a
   predicted-feasible candidate exists (the ``routing-regret``
-  invariant), which the verification sweep checks.
+  invariant), and the verification sweep's ``--inject router`` drift
+  is actually caught.
 """
 
 import math
@@ -33,7 +34,8 @@ from repro.routing.router import _MIN_STAGE_WEIGHT, _weight_bucket
 from repro.service import OptimizationRequest, OptimizationService
 from repro.service.chain import ChainOutcome, default_policy
 from repro.service.problems import make_adapter
-from repro.verify import run_verification
+from repro.verify import check_routing_feasibility, run_verification
+from repro.verify.runner import _ScaledCostModel
 
 
 def mqo_features(queries=4, ppq=3, seed=11):
@@ -300,6 +302,19 @@ class TestRouter:
         section = routing_section(snapshot, router.model.snapshot(), ["greedy"])
         assert section["enabled"] and section["deadline_miss_rate"] == 1.0
 
+    def test_injected_optimism_breaks_feasibility_invariant(self):
+        features = mqo_features(6, 3, seed=2)
+        clean = check_routing_feasibility(features, [0.2, 0.5])
+        assert clean == []
+        honest = check_routing_feasibility(
+            features, [0.2, 0.5], model=_ScaledCostModel(1.0)
+        )
+        assert honest == []
+        drifted = check_routing_feasibility(
+            features, [0.2, 0.5], model=_ScaledCostModel(0.05)
+        )
+        assert any(v.invariant == "routing-regret" for v in drifted)
+
 
 class TestRoutedService:
     def request(self, seed, deadline_ms=5_000.0, kind="mqo"):
@@ -407,6 +422,15 @@ class TestRoutedService:
 
 
 class TestVerifyIntegration:
+    def test_inject_router_is_detected(self):
+        report = run_verification(
+            suite="quick", solvers=["greedy"], seed=0, inject="router", types=["routing"]
+        )
+        assert not report.ok
+        assert any(
+            v.get("invariant") == "routing-regret" for v in report.violations
+        )
+
     def test_clean_sweep_has_no_routing_violations(self):
         report = run_verification(suite="quick", seed=0, types=["routing"])
         routing_rows = [r for r in report.rows if r.get("type") == "routing"]
