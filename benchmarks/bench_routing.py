@@ -3,9 +3,9 @@
 Runs the ``routed-vs-static`` experiment (the same sweep behind
 ``python -m repro experiments routed-vs-static``) — an identical mixed
 MQO + SQL + join-graph workload served through a static fallback chain
-and through the deadline-aware router with a warmed cost model — once
-per seed in :data:`SEEDS`, and writes the per-(seed, deadline)
-measurements to ``BENCH_routing.json`` at the repository root so
+and through the deadline-aware router — once per seed in
+:data:`SEEDS`, and writes the per-(seed, deadline) measurements to
+``BENCH_routing.json`` at the repository root so
 successive PRs can track the router's deadline-miss and plan-quality
 behaviour.
 
@@ -41,7 +41,7 @@ from provenance import provenance_block  # noqa: E402
 
 from repro.experiments.routed_vs_static import run_routed_vs_static  # noqa: E402
 
-#: seeds of the full sweep (each draws its own workload and warm-up stream)
+#: seeds of the full sweep (each draws its own workload)
 SEEDS = tuple(range(29, 39))
 
 

@@ -830,7 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--route", action="store_true",
         help="deadline-aware routing: pick chain order and budget split from "
-        "a learned per-solver cost model (ignored when --policy is given)",
+        "a per-solver runtime prior over QUBO size (ignored when --policy "
+        "is given)",
     )
     optimize.set_defaults(func=_cmd_optimize)
 

@@ -2,8 +2,8 @@
 
 The static service chain runs the same strongest-first stage order for
 every request, no matter how tight the deadline is; the router
-(:mod:`repro.routing`) predicts each stage's runtime from cheap problem
-features and reorders/rebudgets the chain per request.  This experiment
+(:mod:`repro.routing`) predicts each stage's runtime from the QUBO size
+and reorders/rebudgets the chain per request.  This experiment
 serves the *same* deterministic mixed MQO + SQL (+ join-graph) workload
 through both services at several deadlines and reports, per deadline:
 
@@ -19,9 +19,9 @@ less (it refuses to lead with stages predicted to blow the budget)
 while the cost ratio stays at or below ~1.0 once deadlines are loose
 enough for both arms to run their best stage.
 
-Rows contain wall-clock-derived quantities (runtimes feed the model),
-so unlike most experiments here the miss counts are *measured*, not
-derived — identical across reruns only in the plans themselves.
+Rows contain wall-clock-derived quantities, so unlike most experiments
+here the miss counts are *measured*, not derived — identical across
+reruns only in the plans themselves.
 """
 
 from __future__ import annotations
@@ -57,35 +57,25 @@ def _routed_vs_static_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]
     from repro.routing import RoutingPolicy
     from repro.service import OptimizationService
 
-    def _stream(stream_seed: int):
-        # sizes deliberately span the discriminating band where the
-        # strongest stage takes tens of ms: tight deadlines force a
-        # real choice between plan quality and answering in time; a
-        # flat draw over 10^6 slots makes the requests distinct
-        return list(replay_stream(
-            params["requests"],
-            seed=stream_seed,
-            unique=10**6,
-            zipf_s=0.0,
-            deadline_ms=params["deadline_ms"],
-            mqo_fraction=params["mqo_fraction"],
-            sql_fraction=params["sql_fraction"],
-            queries_range=(6, 12),
-            plans_per_query_range=(2, 4),
-            relations_range=(5, 9),
-            sql_tables_range=(3, 8),
-        ))
-
-    requests = _stream(params["workload_seed"])
+    # sizes deliberately span the discriminating band where the
+    # strongest stage takes tens of ms: tight deadlines force a real
+    # choice between plan quality and answering in time; a flat draw
+    # over 10^6 slots makes the requests distinct
+    requests = list(replay_stream(
+        params["requests"],
+        seed=params["workload_seed"],
+        unique=10**6,
+        zipf_s=0.0,
+        deadline_ms=params["deadline_ms"],
+        mqo_fraction=params["mqo_fraction"],
+        sql_fraction=params["sql_fraction"],
+        queries_range=(6, 12),
+        plans_per_query_range=(2, 4),
+        relations_range=(5, 9),
+        sql_tables_range=(3, 8),
+    ))
     static = OptimizationService(seed=seed)
     routed = OptimizationService(seed=seed, routing=RoutingPolicy())
-    # warm the router's cost model on a *disjoint* stream from the same
-    # distribution (fresh problem seeds → no cache overlap with the
-    # measured stream), the steady state a deployed router runs in; the
-    # static chain has no state to warm
-    for request in _stream(params["workload_seed"] + 1):
-        routed.optimize(request)
-    routed.metrics.reset()
     static_results = [static.optimize(request) for request in requests]
     routed_results = [routed.optimize(request) for request in requests]
 
@@ -137,7 +127,7 @@ def run_routed_vs_static(
     cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
 ) -> ExperimentTable:
-    """Deadline sweep: learned per-request routing vs the static chain.
+    """Deadline sweep: per-request routing vs the static chain.
 
     Each grid point replays an identical mixed workload (``requests``
     requests; ``sql_fraction`` arriving as raw SQL text, most of the

@@ -64,6 +64,9 @@ class ReplayReport:
     #: the process pool's parent-side result cache (size, capacity,
     #: hits); empty for backends without one
     result_cache: Dict[str, int] = field(default_factory=dict)
+    #: the router's counters (requests, deadline_miss, fallthrough,
+    #: infeasible); empty when routing is off
+    routing: Dict[str, int] = field(default_factory=dict)
 
     @property
     def throughput_rps(self) -> float:
@@ -98,6 +101,7 @@ class ReplayReport:
             "cache": dict(self.cache),
             "coalesce": dict(self.coalesce),
             "result_cache": dict(self.result_cache),
+            "routing": dict(self.routing),
         }
 
 
@@ -241,4 +245,10 @@ def run_replay(
         "hit_rate": float(coalesce.get("hit_rate", 0.0)),
     }
     report.result_cache = dict(scheduler_section.get("result_cache", {}))
+    routing = stats.get("routing", {})
+    report.routing = {
+        name: int(routing[name])
+        for name in ("requests", "deadline_miss", "fallthrough", "infeasible")
+        if name in routing
+    }
     return report

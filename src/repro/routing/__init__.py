@@ -1,4 +1,4 @@
-"""Deadline-aware solver routing with a learned cost model.
+"""Deadline-aware solver routing from a fixed runtime prior.
 
 The serving layer's fallback chain (:mod:`repro.service.chain`) is
 static: every request walks hybrid → tabu → sa → greedy.  The
@@ -7,15 +7,14 @@ real-time follow-up literature (PAPERS.md: arXiv 2601.12123,
 problem instead — per request, under a latency budget, which backend
 should run, and for how long?  This package is that choice:
 
-* :mod:`~repro.routing.features` — cheap request features (QUBO size
-  and density, query/plan counts, a Chimera embedding-size estimate),
-  deterministic per problem fingerprint;
-* :mod:`~repro.routing.model` — :class:`SolverCostModel`, an online
-  normalized-LMS runtime/validity model per (solver, kind), seeded
-  from recorded benchmarks and mergeable across worker processes;
+* :mod:`~repro.routing.features` — the problem kind and QUBO variable
+  count, deterministic per problem fingerprint;
+* :mod:`~repro.routing.model` — :class:`SolverCostModel`, a fixed
+  per-solver runtime prior over QUBO size, calibrated from recorded
+  benchmarks;
 * :mod:`~repro.routing.router` — :class:`RoutingPolicy`, which turns
   predictions + deadline into a chain order and per-stage budget
-  split, and feeds observed outcomes back into the model.
+  split, and records routing metrics for every executed chain.
 
 Routing is **off by default**: construct the service with
 ``OptimizationService(routing=RoutingPolicy())`` (or
@@ -25,24 +24,16 @@ it.  With routing off, serving is bit-identical to the static chain.
 
 from __future__ import annotations
 
-from repro.routing.features import FEATURE_NAMES, ProblemFeatures, extract_features
-from repro.routing.model import DEFAULT_PRIORS, SolverCostModel, default_cost_model
-from repro.routing.router import (
-    RoutingDecision,
-    RoutingPolicy,
-    merge_router_states,
-    routing_section,
-)
+from repro.routing.features import ProblemFeatures, extract_features
+from repro.routing.model import DEFAULT_PRIORS, SolverCostModel
+from repro.routing.router import RoutingDecision, RoutingPolicy, routing_section
 
 __all__ = [
     "DEFAULT_PRIORS",
-    "FEATURE_NAMES",
     "ProblemFeatures",
     "RoutingDecision",
     "RoutingPolicy",
     "SolverCostModel",
-    "default_cost_model",
     "extract_features",
-    "merge_router_states",
     "routing_section",
 ]

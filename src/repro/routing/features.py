@@ -1,40 +1,19 @@
-"""Cheap per-request problem features for the solver router.
+"""The per-request problem features the solver router looks at.
 
-The router must decide a chain order *before* any solver runs, so the
-only admissible features are ones derivable from the compiled problem
-in microseconds: QUBO size and density, the domain shape (query/plan
-or relation counts), and a closed-form estimate of how many physical
-qubits a Chimera minor-embedding of the interaction graph would need
-(the annealing papers' proxy for "does this fit the hardware, and how
-long will a quantum-backed stage take").
-
-Features are a pure function of the problem *content*: two adapters
-with the same fingerprint produce identical :class:`ProblemFeatures`
-(pinned by a hypothesis property in ``tests/test_routing.py``), which
-keeps routed serving deterministic under the service's content-derived
-seed contract.  Extraction is memoized on the adapter instance, so the
-compilation cache amortizes it across repeated requests.
+The router must decide a chain order *before* any solver runs, so it
+may only look at what the compiled problem gives away for free: the
+problem kind and the QUBO variable count.  Both are a pure function of
+the problem *content* — two adapters with the same fingerprint produce
+identical :class:`ProblemFeatures` (pinned by a hypothesis property in
+``tests/test_routing.py``) — which keeps routed serving deterministic
+under the service's content-derived seed contract.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Dict, List
 
-__all__ = ["FEATURE_NAMES", "ProblemFeatures", "extract_features"]
-
-#: order of the model's regression inputs (see :meth:`ProblemFeatures.vector`)
-FEATURE_NAMES = (
-    "bias",
-    "log_variables",
-    "log_interactions",
-    "density",
-    "log_variables_sq",
-)
-
-#: attribute under which extraction results memoize on adapter instances
-_CACHE_ATTR = "_routing_features"
+__all__ = ["ProblemFeatures", "extract_features"]
 
 
 @dataclass(frozen=True)
@@ -42,103 +21,14 @@ class ProblemFeatures:
     """Everything the router may look at before picking a chain."""
 
     kind: str
+    #: QUBO variable count, the only input of the runtime prior
     num_variables: int
-    num_interactions: int
-    #: interaction count over the complete-graph maximum, in [0, 1]
-    density: float
-    #: queries (MQO) or relations (join ordering / SQL)
-    num_queries: int
-    #: total candidate plans (MQO) or relations (join ordering / SQL)
-    num_plans: int
-    #: estimated physical qubits for a Chimera minor-embedding
-    embedding_qubits: int
-
-    def vector(self) -> List[float]:
-        """Regression inputs, ordered as :data:`FEATURE_NAMES`.
-
-        Counts enter as ``log1p`` so runtime models that are polynomial
-        in problem size become near-linear in feature space; the leading
-        1.0 is the bias term.  The squared size term (scaled down to the
-        magnitude of the other features) lets the online model bend the
-        size curve for solvers that are disproportionately slow on big
-        problems without disturbing what it learned on small ones.
-        """
-        log_vars = math.log1p(float(self.num_variables))
-        return [
-            1.0,
-            log_vars,
-            math.log1p(float(self.num_interactions)),
-            float(self.density),
-            log_vars * log_vars / 4.0,
-        ]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "num_variables": self.num_variables,
-            "num_interactions": self.num_interactions,
-            "density": self.density,
-            "num_queries": self.num_queries,
-            "num_plans": self.num_plans,
-            "embedding_qubits": self.embedding_qubits,
-        }
-
-
-def _embedding_qubits_estimate(num_variables: int, num_interactions: int) -> int:
-    """Closed-form Chimera embedding-size estimate.
-
-    A logical variable of degree ``d`` needs a chain of roughly
-    ``ceil(d / 4)`` physical qubits on Chimera (each cell qubit exposes
-    4 inter-cell couplers), so the estimate is the variable count scaled
-    by the mean chain length.  This intentionally stays a heuristic: it
-    ranks problems by embedding pressure without paying for an actual
-    minor-embedding search on the request path.
-    """
-    if num_variables <= 0:
-        return 0
-    mean_degree = 2.0 * num_interactions / num_variables
-    mean_chain = max(1.0, math.ceil(mean_degree / 4.0))
-    return int(math.ceil(num_variables * mean_chain))
 
 
 def extract_features(adapter) -> ProblemFeatures:
-    """Features of one problem adapter (memoized on the instance).
-
-    Works for any adapter honouring the service protocol
-    (:mod:`repro.service.problems`): the BQM supplies size and density,
-    and the domain shape comes from ``adapter.problem`` (MQO) or
-    ``adapter.graph`` (join ordering, including the SQL front door).
-    """
-    cached = getattr(adapter, _CACHE_ATTR, None)
-    if cached is not None:
-        return cached
-    bqm = adapter.bqm()
-    n = int(bqm.num_variables)
-    interactions = int(bqm.num_interactions)
-    pairs = n * (n - 1) // 2
-    density = (interactions / pairs) if pairs else 0.0
-
-    problem = getattr(adapter, "problem", None)
-    if problem is not None and hasattr(problem, "num_queries"):
-        num_queries = int(problem.num_queries)
-        num_plans = int(problem.num_plans)
-    else:
-        graph = getattr(adapter, "graph", None)
-        relations = int(graph.num_relations) if graph is not None else n
-        num_queries = relations
-        num_plans = relations
-
-    features = ProblemFeatures(
+    """Features of one problem adapter (service protocol, see
+    :mod:`repro.service.problems`)."""
+    return ProblemFeatures(
         kind=str(getattr(adapter, "kind", "unknown")),
-        num_variables=n,
-        num_interactions=interactions,
-        density=float(density),
-        num_queries=num_queries,
-        num_plans=num_plans,
-        embedding_qubits=_embedding_qubits_estimate(n, interactions),
+        num_variables=int(adapter.bqm().num_variables),
     )
-    try:
-        setattr(adapter, _CACHE_ATTR, features)
-    except AttributeError:  # pragma: no cover — slotted adapter
-        pass
-    return features

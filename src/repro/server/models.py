@@ -28,7 +28,7 @@ catalog server-side, so clients ship only query text.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.exceptions import ConfigurationError, ProblemError
 from repro.service.chain import parse_policy
@@ -153,21 +153,3 @@ def result_response(result: OptimizationResult) -> Tuple[int, Dict[str, Any]]:
         payload["request_id"] = result.request_id
         return 503, payload
     return 200, result_to_dict(result)
-
-
-def require_fields(data: Dict[str, Any], *names: str) -> None:
-    """400 unless every named field is present."""
-    missing = [name for name in names if name not in data]
-    if missing:
-        raise ApiError(
-            400, "missing_fields", f"body is missing fields: {', '.join(missing)}"
-        )
-
-
-def maybe_int(value: Any, field: str) -> Optional[int]:
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ApiError(400, "invalid_request", f"{field} must be an integer") from exc

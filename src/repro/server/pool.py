@@ -94,8 +94,7 @@ class ServiceConfig:
     result_capacity: int = 1024
     #: enable deadline-aware routing (:mod:`repro.routing`): each
     #: worker builds its own RoutingPolicy over the effective policy's
-    #: stages and learns online; ``stats()`` merges the per-worker
-    #: models exactly like metrics
+    #: stages; ``stats()`` merges the per-worker ``router.*`` metrics
     routing: bool = False
 
     def build(self) -> OptimizationService:
@@ -341,15 +340,10 @@ class ProcessPoolScheduler(SchedulerBase):
             (state["uptime_seconds"] for state in states), default=0.0
         )
         if self.config.routing:
-            from repro.routing import merge_router_states, routing_section
+            from repro.routing import routing_section
 
-            model = merge_router_states(
-                state["routing"] for state in states if state.get("routing")
-            )
             snapshot["routing"] = routing_section(
-                snapshot,
-                model.snapshot(),
-                [spec.solver for spec in self.config.effective_policy()],
+                snapshot, [spec.solver for spec in self.config.effective_policy()]
             )
         section = self._scheduler_section()
         section["start_method"] = self.start_method

@@ -253,8 +253,7 @@ def _run_stage(adapter, spec: StageSpec, seed: int, budget_s: float) -> Dict[str
         "seconds": seconds,
         # a cooperative solver that used (almost) its whole slice was
         # budget-truncated: its runtime is a *lower bound* on what the
-        # solver wanted, which the routing cost model must not treat
-        # as the solver's intrinsic speed
+        # solver wanted, not the solver's intrinsic speed
         "truncated": "time_budget" in kwargs and seconds >= 0.9 * budget_s,
         "energy": float(result.energy),
         "cost": cost,

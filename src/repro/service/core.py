@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
 from threading import RLock
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,7 +119,7 @@ class OptimizationService:
         #: optional :class:`repro.routing.RoutingPolicy` — when set,
         #: requests without an explicit per-request policy get their
         #: chain order and budget split decided per request from the
-        #: learned cost model; None (the default) serves the static
+        #: runtime prior; None (the default) serves the static
         #: chain bit-identically to earlier releases
         self.routing = routing
         self._started = time.perf_counter()
@@ -133,6 +132,8 @@ class OptimizationService:
 
         adapter = self._compiled_adapter(request)
         root_seed = self.seed if request.seed is None else int(request.seed)
+        policy = request.policy if request.policy is not None else self.policy
+        seed_key = pkey = policy_key(policy, request.mode)
         decision = None
         if self.routing is not None and request.policy is None:
             from repro.routing.features import extract_features
@@ -140,28 +141,13 @@ class OptimizationService:
             decision = self.routing.decide(
                 extract_features(adapter), request.deadline_ms
             )
-            policy = decision.policy
             # the solve seed derives from the *static* policy key, not
             # the per-request chain: whenever the router's chain order
             # matches the static order (loose deadlines), every stage
             # seed matches the unrouted run and the plan is
-            # bit-identical to the static service's — and since equal
-            # model states yield equal decisions, two schedulers fed
-            # the same request stream stay bit-identical to each other.
-            # The result key names the routed chain *order* but not its
-            # budget weights: stage seeds depend on solver and position
-            # only, so the order fixes an untruncated outcome, while the
-            # weight buckets follow the timed runtime of the previous
-            # solve and would make repeats miss at random.  The order
-            # depends on the deadline (tight deadlines lead with cheap
-            # stages), so a loose-deadline repeat never gets the plan a
-            # tight-deadline request produced.
-            seed_key = policy_key(self.policy, request.mode)
-            order = tuple(replace(spec, weight=1.0) for spec in policy)
-            pkey = f"routed|{policy_key(order, request.mode)}"
-        else:
-            policy = request.policy if request.policy is not None else self.policy
-            seed_key = pkey = policy_key(policy, request.mode)
+            # bit-identical to the static service's
+            policy = decision.policy
+            pkey = policy_key(policy, request.mode)
         solve_seed = derive_seed(
             root_seed,
             "repro.service",
@@ -187,9 +173,8 @@ class OptimizationService:
             # only deterministic (untruncated) outcomes may be reused
             self.cache.put_result(result_key, outcome)
         if decision is not None:
-            # online learning: observed stage runtimes/validity update
-            # the cost model; router counters land in the service
-            # metrics so the process pool merges them like any other
+            # router counters land in the service metrics so the
+            # process pool merges them like any other
             self.routing.observe(decision, outcome, self.metrics)
         for entry in outcome.stage_trace:
             self.metrics.observe(f"stage_seconds.{entry['stage']}", entry["seconds"])
@@ -215,9 +200,7 @@ class OptimizationService:
             from repro.routing.router import routing_section
 
             snapshot["routing"] = routing_section(
-                snapshot,
-                self.routing.model.snapshot(),
-                [spec.solver for spec in self.routing.candidates],
+                snapshot, [spec.solver for spec in self.routing.candidates]
             )
         return snapshot
 
@@ -230,14 +213,11 @@ class OptimizationService:
         multi-process serving otherwise reporting only the parent's
         (empty) counters.
         """
-        state = {
+        return {
             "metrics": self.metrics.state(),
             "cache": self.cache.stats(),
             "uptime_seconds": time.perf_counter() - self._started,
         }
-        if self.routing is not None:
-            state["routing"] = self.routing.state()
-        return state
 
     # ------------------------------------------------------------------
     def _compiled_adapter(self, request: OptimizationRequest):

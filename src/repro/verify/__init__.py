@@ -32,7 +32,7 @@ from repro.verify.invariants import (
     random_assignments,
     random_circuit,
 )
-from repro.verify.oracle import DEFAULT_ENERGY_LIMIT, bqm_fingerprint, compute_oracle
+from repro.verify.oracle import DEFAULT_ENERGY_LIMIT, compute_oracle
 from repro.verify.report import SolverSummary, VerificationReport, summarize
 from repro.verify.runner import INJECTABLE_BUGS, run_verification, sweep_solver_names
 
@@ -45,7 +45,6 @@ __all__ = [
     "SolverSummary",
     "VerificationReport",
     "Violation",
-    "bqm_fingerprint",
     "build_case",
     "build_corpus",
     "check_compiled_energy_consistency",

@@ -569,9 +569,9 @@ def check_routing_feasibility(
     """``routing-regret``: the router must lead with a feasible stage.
 
     For every deadline, a :class:`repro.routing.RoutingPolicy` over
-    ``model`` (default: a fresh prior-only cost model) decides a chain
-    for ``features``; a fresh prior-only reference model then judges
-    the decision.  Whenever at least one candidate's true predicted
+    ``model`` (default: the prior cost model) decides a chain for
+    ``features``; the prior cost model then judges the decision.
+    Whenever at least one candidate's true predicted
     runtime fits the deadline, the chain's first stage must be one of
     them — leading with a predicted-infeasible stage is regret the
     router could have avoided.  Predictions must also be finite and
@@ -581,12 +581,10 @@ def check_routing_feasibility(
     over-eager-router bug class this invariant catches
     (``--inject router``).
     """
-    from repro.routing import RoutingPolicy, default_cost_model
+    from repro.routing import RoutingPolicy, SolverCostModel
 
-    reference = default_cost_model()
-    router = RoutingPolicy(
-        model=model if model is not None else default_cost_model()
-    )
+    reference = SolverCostModel()
+    router = RoutingPolicy(model=model)
     violations: List[Violation] = []
     for deadline_ms in deadlines_ms:
         decision = router.decide(features, deadline_ms)
@@ -614,7 +612,7 @@ def check_routing_feasibility(
             )
         true_ms = {
             spec.solver: reference.predict_runtime_ms(
-                spec.solver, features.kind, features
+                spec.solver, features.num_variables
             )
             for spec in router.candidates
         }

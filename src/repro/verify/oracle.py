@@ -30,16 +30,12 @@ import itertools
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.annealers.device import bqm_fingerprint
 from repro.harness import ResultCache, resolve_cache_dir
-from repro.qubo.bqm import BinaryQuadraticModel
 from repro.qubo.exact import brute_force_minimum
 from repro.verify.invariants import Violation
 
-__all__ = [
-    "DEFAULT_ENERGY_LIMIT",
-    "bqm_fingerprint",
-    "compute_oracle",
-]
+__all__ = ["DEFAULT_ENERGY_LIMIT", "compute_oracle"]
 
 #: largest model the energy oracle will enumerate (2^20 assignments)
 DEFAULT_ENERGY_LIMIT = 20
@@ -49,24 +45,6 @@ MAX_ORACLE_RELATIONS = 8
 
 _ORACLE_EXPERIMENT = "verify_oracle"
 _ENERGY_ATOL = 1e-6
-
-
-def bqm_fingerprint(bqm: BinaryQuadraticModel) -> str:
-    """Content hash of a model's complete coefficient table.
-
-    Uses ``repr`` for floats so distinct coefficients never collide,
-    and sorts terms so construction order is irrelevant.
-    """
-    payload = {
-        "vartype": bqm.vartype.name,
-        "offset": repr(bqm.offset),
-        "linear": sorted((str(v), repr(b)) for v, b in bqm.linear.items()),
-        "quadratic": sorted(
-            (str(u), str(v), repr(b)) for (u, v), b in bqm.quadratic.items()
-        ),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _oracle_mqo(problem, builder, bqm, energy_limit: int) -> Dict[str, Any]:

@@ -117,14 +117,13 @@ class Plant:
 
 
 class _ScaledCostModel(SolverCostModel):
-    """Prior-only cost model whose runtime predictions are scaled."""
+    """Cost model whose runtime predictions are scaled."""
 
     def __init__(self, scale: float) -> None:
-        super().__init__()
         self.scale = float(scale)
 
-    def predict_runtime_ms(self, solver, kind, features) -> float:
-        return super().predict_runtime_ms(solver, kind, features) * self.scale
+    def predict_runtime_ms(self, solver, num_variables) -> float:
+        return super().predict_runtime_ms(solver, num_variables) * self.scale
 
 
 # ----------------------------------------------------------------------

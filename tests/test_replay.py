@@ -169,6 +169,18 @@ class TestDriver:
         payload = report.to_dict()
         assert payload["backend"] == "thread"
         assert payload["throughput_rps"] > 0
+        assert payload["routing"] == {}  # routing off
+
+    def test_routed_replay_reports_router_counters(self):
+        with make_scheduler(
+            "thread", config=ServiceConfig(seed=9, routing=True), workers=1
+        ) as scheduler:
+            report = run_replay(scheduler, replay_stream(10, **STREAM_KW))
+        assert set(report.routing) == {
+            "requests", "deadline_miss", "fallthrough", "infeasible"
+        }
+        assert 0 < report.routing["requests"] <= 10
+        assert report.to_dict()["routing"] == report.routing
 
     def test_admission_rejections_counted(self):
         with make_scheduler(

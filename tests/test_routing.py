@@ -5,8 +5,9 @@ leans on:
 
 * feature extraction is a pure function of problem *content* — two
   adapters holding the same problem yield identical features;
-* cost-model predictions stay finite and non-negative under arbitrary
-  observation streams, and converge to a constant observed runtime;
+* cost-model predictions stay finite and non-negative for any QUBO
+  size, and equal the calibrated priors exactly;
+* observed outcomes never change a later routing decision;
 * the router never leads with a predicted-infeasible stage while a
   predicted-feasible candidate exists (the ``routing-regret``
   invariant), and the verification sweep's ``--inject router`` drift
@@ -22,17 +23,15 @@ from repro.joinorder.generators import chain_query, star_query
 from repro.mqo.generator import random_mqo_problem
 from repro.routing import (
     DEFAULT_PRIORS,
-    FEATURE_NAMES,
     RoutingPolicy,
     SolverCostModel,
-    default_cost_model,
     extract_features,
-    merge_router_states,
     routing_section,
 )
-from repro.routing.router import _MIN_STAGE_WEIGHT, _weight_bucket
+from repro.routing.router import _FIT_FRACTION, _MIN_STAGE_WEIGHT
 from repro.service import OptimizationRequest, OptimizationService
 from repro.service.chain import ChainOutcome, default_policy
+from repro.service.metrics import Metrics
 from repro.service.problems import make_adapter
 from repro.verify import check_routing_feasibility, run_verification
 from repro.verify.runner import _ScaledCostModel
@@ -82,130 +81,56 @@ class TestFeatures:
         second = extract_features(make_adapter("mqo", problem))
         assert first == second
         assert first.kind == "mqo"
-        assert first.num_queries == queries
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        queries=st.integers(2, 6),
-        ppq=st.integers(2, 3),
-        seed=st.integers(0, 10_000),
-    )
-    def test_vector_matches_schema_and_stays_finite(self, queries, ppq, seed):
-        features = mqo_features(queries, ppq, seed)
-        vector = features.vector()
-        assert len(vector) == len(FEATURE_NAMES)
-        assert vector[0] == 1.0  # bias
-        assert all(math.isfinite(v) for v in vector)
-        assert 0.0 <= features.density <= 1.0
-        assert features.embedding_qubits >= features.num_variables > 0
+        assert first.num_variables == queries * ppq
 
     def test_join_graph_features_use_relations(self):
         graph = chain_query(6, seed=3)
         features = extract_features(make_adapter("join_order", graph))
         assert features.kind == "join_order"
-        assert features.num_queries == 6
         assert features.num_variables == graph.num_relations**2
-
-    def test_memoized_on_adapter_instance(self):
-        adapter = make_adapter("mqo", random_mqo_problem(3, 2, seed=1))
-        assert extract_features(adapter) is extract_features(adapter)
 
 
 class TestCostModel:
     @settings(max_examples=40, deadline=None)
     @given(
-        runtimes=st.lists(
-            st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-            min_size=1,
-            max_size=30,
-        ),
+        sizes=st.lists(st.integers(0, 10**6), min_size=1, max_size=30),
         solver=st.sampled_from(["hybrid", "tabu", "sa", "greedy", "mystery"]),
     )
-    def test_predictions_finite_nonnegative_under_any_stream(
-        self, runtimes, solver
-    ):
-        model = default_cost_model()
-        features = mqo_features()
-        for runtime in runtimes:
-            model.observe(solver, "mqo", features, runtime, valid=True)
-            predicted = model.predict_runtime_ms(solver, "mqo", features)
+    def test_predictions_finite_nonnegative_under_any_stream(self, sizes, solver):
+        model = SolverCostModel()
+        for n in sizes:
+            predicted = model.predict_runtime_ms(solver, n)
             assert math.isfinite(predicted)
             assert predicted >= 0.0
-        assert 0.0 <= model.predict_validity(solver, "mqo") <= 1.0
-
-    def test_nonfinite_observations_ignored(self):
-        model = default_cost_model()
-        features = mqo_features()
-        before = model.predict_runtime_ms("tabu", "mqo", features)
-        for poison in (float("nan"), float("inf"), -5.0):
-            model.observe("tabu", "mqo", features, poison)
-        assert model.predict_runtime_ms("tabu", "mqo", features) == before
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        true_ms=st.floats(min_value=0.5, max_value=5_000.0, allow_nan=False),
-        solver=st.sampled_from(["hybrid", "sa", "greedy"]),
-    )
-    def test_online_updates_converge_to_observed_runtime(self, true_ms, solver):
-        model = default_cost_model()
-        features = mqo_features()
-        for _ in range(200):
-            model.observe(solver, "mqo", features, true_ms)
-        predicted = model.predict_runtime_ms(solver, "mqo", features)
-        assert predicted == pytest.approx(true_ms, rel=0.05)
 
     def test_priors_preserve_chain_quality_order(self):
         # on a serving-sized problem the priors must rank the chain the
         # way the recorded benchmarks do: hybrid slowest, greedy fastest
-        model = default_cost_model()
-        features = mqo_features(6, 3, seed=2)
+        model = SolverCostModel()
+        n = mqo_features(6, 3, seed=2).num_variables
         predictions = {
-            solver: model.predict_runtime_ms(solver, "mqo", features)
-            for solver in DEFAULT_PRIORS
+            solver: model.predict_runtime_ms(solver, n) for solver in DEFAULT_PRIORS
         }
         assert predictions["hybrid"] > predictions["tabu"]
         assert predictions["tabu"] >= predictions["sa"]
         assert predictions["sa"] > predictions["greedy"]
 
-    def test_validity_ewma_tracks_observations(self):
-        model = default_cost_model()
-        features = mqo_features()
-        for _ in range(20):
-            model.observe("sa", "mqo", features, 1.0, valid=False)
-        assert model.predict_validity("sa", "mqo") < 0.1
-        assert model.predict_validity("sa", "join_order") == pytest.approx(0.9)
-
-    def test_state_merge_is_count_weighted(self):
-        features = mqo_features()
-        left = default_cost_model()
-        right = default_cost_model()
-        for _ in range(30):
-            left.observe("tabu", "mqo", features, 10.0)
-            right.observe("tabu", "mqo", features, 10.0)
-        merged = SolverCostModel.merge_states([left.state(), right.state()])
-        assert merged.predict_runtime_ms(
-            "tabu", "mqo", features
-        ) == pytest.approx(left.predict_runtime_ms("tabu", "mqo", features))
-        assert merged.state()["runtime"]["tabu|mqo"]["count"] == 60
-
-    def test_merge_router_states_matches_model_merge(self):
-        features = mqo_features()
-        model = default_cost_model()
-        model.observe("greedy", "mqo", features, 2.0, valid=True)
-        merged = merge_router_states([model.state()])
-        assert merged.predict_runtime_ms(
-            "greedy", "mqo", features
-        ) == pytest.approx(model.predict_runtime_ms("greedy", "mqo", features))
-
-    def test_warm_from_stats_seeds_recorded_latency(self):
+    @pytest.mark.parametrize(
+        "solver, expected",
+        [
+            ("hybrid", (1.850659382916608, 7.985551964993214, 30.566499425302478)),
+            ("tabu", (0.13497036300646792, 2.099267230856004, 8.305302154024579)),
+            ("sa", (0.0, 1.5374653939086476, 6.618537040182713)),
+            ("greedy", (0.0, 0.38024527497023614, 2.0269643675191595)),
+            ("fleet", (3.340641835617295, 13.699949700805275, 54.860216670078735)),
+            ("mystery", (7.243606353500642, 33.62314668470269, 165.52084834071297)),
+        ],
+    )
+    def test_prior_predictions_pinned(self, solver, expected):
+        # the shipped calibration: a change here moves routing decisions
         model = SolverCostModel()
-        warmed = model.warm_from_stats(
-            {"histograms": {"stage_seconds.tabu": {"count": 12, "mean": 0.05}}}
-        )
-        assert warmed == 1
-        features = mqo_features(6, 3, seed=9)  # ~serving-sized problem
-        predicted = model.predict_runtime_ms("tabu", "mqo", features)
-        assert predicted == pytest.approx(50.0, rel=0.5)
+        got = tuple(model.predict_runtime_ms(solver, n) for n in (4, 20, 100))
+        assert got == expected
 
 
 class TestRouter:
@@ -229,14 +154,20 @@ class TestRouter:
         features = mqo_features(queries, 3, seed)
         decision = router.decide(features, deadline_ms)
         predictions = dict(decision.predicted_ms)
-        budget = router.headroom * deadline_ms
+        budget = _FIT_FRACTION * deadline_ms
+        weights = [spec.weight for spec in decision.policy]
         if decision.feasible:
             assert predictions[decision.policy[0].solver] <= budget
+            # fitting stages split the budget evenly, the rest get epsilon
+            assert weights == [
+                1.0 if predictions[spec.solver] <= budget else _MIN_STAGE_WEIGHT
+                for spec in decision.policy
+            ]
         else:
             # nothing fits: cheapest-first maximizes any-answer odds
             ordered = [predictions[s.solver] for s in decision.policy]
             assert ordered == sorted(ordered)
-        assert all(spec.weight > 0 for spec in decision.policy)
+            assert weights == [1.0] * len(weights)
         assert set(s.solver for s in decision.policy) == set(
             s.solver for s in router.candidates
         )
@@ -250,41 +181,23 @@ class TestRouter:
         specs = {s.solver: s for s in decision.policy}
         assert specs["hybrid"].weight == _MIN_STAGE_WEIGHT
 
-    def test_weight_buckets_are_powers_of_two(self):
-        for predicted in (0.01, 0.3, 1.7, 42.0, 9999.0):
-            bucket = _weight_bucket(predicted)
-            assert bucket > 0
-            assert math.log2(bucket) == round(math.log2(bucket))
-        # predictions within a bucket share the weight → the routed
-        # policy key (and result cache) is stable under small drift
-        assert _weight_bucket(10.0) == _weight_bucket(11.0)
-
-    def test_observe_updates_model_and_skips_censored(self):
+    def test_observe_never_changes_decision(self):
+        # n=12: hybrid's prior (5.12 ms) fits 0.8 × 10 ms; an outcome
+        # 100× over that prediction must not demote it
         router = RoutingPolicy()
-        features = mqo_features()
-        decision = router.decide(features, 100.0)
-        lead = decision.policy[0].solver
-        before = router.model.predict_runtime_ms(lead, "mqo", features)
-        outcome = outcome_for(decision, {lead: before * 0.2})
-        # mark the entry budget-truncated: a lower-bound observation
-        # below the prediction must NOT drag the prediction down
-        trace = tuple(dict(entry, truncated=True) for entry in outcome.stage_trace)
-        censored = ChainOutcome(
-            plan={}, cost=10.0, energy=-1.0, valid=True, served_by=lead,
-            deadline_exceeded=False, seconds=before * 0.2 / 1000.0,
-            stage_trace=trace,
+        features = mqo_features(4, 3, seed=11)
+        before = router.decide(features, 10.0)
+        assert before.policy[0].solver == "hybrid"
+        hybrid_ms = dict(before.predicted_ms)["hybrid"]
+        metrics = Metrics()
+        router.observe(before, outcome_for(before, {"hybrid": 100 * hybrid_ms}), metrics)
+        router.observe(
+            before, outcome_for(before, {"hybrid": 100 * hybrid_ms}, valid=False), metrics
         )
-        router.observe(decision, censored)
-        assert router.model.predict_runtime_ms(
-            lead, "mqo", features
-        ) == pytest.approx(before)
-        # an untruncated observation does update
-        router.observe(decision, outcome_for(decision, {lead: before * 0.2}))
-        assert router.model.predict_runtime_ms(lead, "mqo", features) < before
+        assert router.decide(features, 10.0) == before
+        assert metrics.snapshot()["counters"]["router.requests"] == 2
 
     def test_observe_records_router_metrics(self):
-        from repro.service.metrics import Metrics
-
         router = RoutingPolicy()
         features = mqo_features()
         metrics = Metrics()
@@ -299,7 +212,7 @@ class TestRouter:
         assert snapshot["counters"]["router.requests"] == 1
         assert snapshot["counters"]["router.deadline_miss"] == 1
         assert snapshot["histograms"]["router.regret_ms"]["count"] == 1
-        section = routing_section(snapshot, router.model.snapshot(), ["greedy"])
+        section = routing_section(snapshot, ["greedy"])
         assert section["enabled"] and section["deadline_miss_rate"] == 1.0
 
     def test_injected_optimism_breaks_feasibility_invariant(self):
@@ -340,8 +253,6 @@ class TestRoutedService:
         assert routing["requests"] == 4
         assert routing["deadline_miss"] == 0
         assert routing["candidates"] == [s.solver for s in default_policy()]
-        assert routing["model"]  # learned per-(solver|kind) entries
-        assert any(key.endswith("|mqo") for key in routing["model"])
 
     def test_routing_off_stats_have_no_routing_section(self):
         service = OptimizationService(seed=17)
@@ -392,16 +303,20 @@ class TestRoutedService:
         # the greedy-first answer in the result cache
         candidates = (default_policy()[0], default_policy()[-1])  # hybrid, greedy
         routed = OptimizationService(
-            seed=37, routing=RoutingPolicy(candidates=candidates, headroom=0.05)
+            seed=37, routing=RoutingPolicy(candidates=candidates)
         )
         static = OptimizationService(seed=37, policy=candidates)
         problem = random_mqo_problem(4, 3, seed=4)
         make = lambda rid, deadline_ms: OptimizationRequest(  # noqa: E731
             request_id=rid, kind="mqo", problem=problem, deadline_ms=deadline_ms
         )
-        # hybrid's prior (~5 ms) exceeds 5% of 80 ms, greedy's does not
-        tight = routed.optimize(make("tight", 80.0))
+        # at n=12 hybrid's prior (5.12 ms) exceeds 0.8 × 6 ms, greedy's
+        # (0.086 ms) does not; greedy finishes untruncated, so its
+        # answer is cached
+        tight = routed.optimize(make("tight", 6.0))
         assert tight.stage_trace[0]["stage"] == "greedy"
+        assert not tight.deadline_exceeded
+        assert routed.optimize(make("tight-again", 6.0)).cache_hit
         loose = routed.optimize(make("loose", 5_000.0))
         assert not loose.cache_hit
         assert loose.stage_trace[0]["stage"] == "hybrid"
@@ -411,15 +326,6 @@ class TestRoutedService:
             reference.cost,
             reference.served_by,
         )
-
-    def test_service_state_ships_router_model(self):
-        service = OptimizationService(seed=17, routing=RoutingPolicy())
-        service.optimize(self.request(0))
-        state = service.state()
-        assert "routing" in state
-        merged = merge_router_states([state["routing"]])
-        assert merged.state()["runtime"]
-
 
 class TestVerifyIntegration:
     def test_inject_router_is_detected(self):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.annealers.device import bqm_fingerprint
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.qubo.bqm import BinaryQuadraticModel
@@ -13,7 +14,6 @@ from repro.verify import (
     Violation,
     build_case,
     build_corpus,
-    bqm_fingerprint,
     check_compiled_energy_consistency,
     check_embedding_validity,
     check_fix_variable_conservation,
@@ -111,6 +111,7 @@ class TestOracle:
         assert first == second
 
     def test_fingerprint_tracks_coefficients(self):
+        # the oracle cache keys on this hash, so a 1e-9 nudge must change it
         bqm = BinaryQuadraticModel.from_qubo({("a", "a"): 1.0, ("a", "b"): -2.0})
         fp = bqm_fingerprint(bqm)
         tweaked = bqm.copy()
