@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import inspect
 import time
+import weakref
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -77,7 +78,7 @@ class Solver(Protocol):
 
 def supports_time_budget(solver: "Solver") -> bool:
     """Does ``solver.solve`` accept a ``time_budget`` keyword?"""
-    return _accepts_keyword(solver.solve, "time_budget")
+    return accepts_keyword(solver.solve, "time_budget")
 
 
 def supports_compiled(solver: "Solver") -> bool:
@@ -88,15 +89,44 @@ def supports_compiled(solver: "Solver") -> bool:
     service's compilation cache, the hybrid decomposer) compile once
     and amortize across solves.
     """
-    return _accepts_keyword(solver.solve, "compiled")
+    return accepts_keyword(solver.solve, "compiled")
 
 
-def _accepts_keyword(func, keyword: str) -> bool:
+def accepts_keyword(func, keyword: str) -> bool:
+    """Does ``func`` take a parameter named ``keyword``?"""
+    parameters = _signature_parameters(func)
+    return parameters is not None and any(p.name == keyword for p in parameters)
+
+
+#: signature parameters of plain callables and of bound methods, keyed
+#: weakly by the underlying function so no entry pins a solver instance
+_PLAIN_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_BOUND_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _signature_parameters(func) -> Optional[Tuple[inspect.Parameter, ...]]:
+    """``inspect.signature(func)``'s parameters, or ``None`` if uninspectable.
+
+    The service probes every stage of every request, so each function's
+    signature is computed once.  A bound method is cached under its
+    ``__func__``, never under the method itself, which would pin the
+    instance; every method bound to one function has the same signature.
+    """
+    target = getattr(func, "__func__", func)
+    cache = _PLAIN_SIGNATURES if target is func else _BOUND_SIGNATURES
     try:
-        signature = inspect.signature(func)
+        return cache[target]
+    except (KeyError, TypeError):
+        pass
+    try:
+        parameters = tuple(inspect.signature(func).parameters.values())
     except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return keyword in signature.parameters
+        parameters = None
+    try:
+        cache[target] = parameters
+    except TypeError:  # pragma: no cover - not weak-referenceable
+        pass
+    return parameters
 
 
 def _budget_deadline(time_budget: Optional[float]) -> Optional[float]:
@@ -289,7 +319,7 @@ class SamplerSolver:
         if bqm.num_variables == 0:
             return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
         extra = {}
-        if compiled is not None and _accepts_keyword(self.sampler.sample, "compiled"):
+        if compiled is not None and accepts_keyword(self.sampler.sample, "compiled"):
             extra["compiled"] = compiled
         if time_budget is None:
             sample_set = self.sampler.sample(
@@ -422,12 +452,11 @@ def valid_options(name: str) -> Optional[Tuple[str, ...]]:
         raise SolverError(
             f"unknown solver {name!r}; registered: {', '.join(solver_names())}"
         ) from None
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - C-level factories
+    parameters = _signature_parameters(factory)
+    if parameters is None:  # pragma: no cover - C-level factories
         return None
     names = []
-    for parameter in signature.parameters.values():
+    for parameter in parameters:
         if parameter.kind == inspect.Parameter.VAR_KEYWORD:
             return None
         if parameter.kind == inspect.Parameter.VAR_POSITIONAL:

@@ -46,7 +46,6 @@ dispatch order.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
@@ -211,12 +210,10 @@ class DecomposingSolver:
         self.sub_size = sub_size
         self.exact_limit = exact_limit
         self.subsolver = subsolver if subsolver is not None else TabuSampler()
-        try:
-            self._subsolver_takes_compiled = (
-                "compiled" in inspect.signature(self.subsolver.sample).parameters
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._subsolver_takes_compiled = False
+        # the registry imports this module, so its probe is imported here
+        from repro.hybrid.registry import accepts_keyword
+
+        self._subsolver_takes_compiled = accepts_keyword(self.subsolver.sample, "compiled")
         self.sub_reads = sub_reads
         self.max_rounds = max_rounds
         self.stall_rounds = stall_rounds

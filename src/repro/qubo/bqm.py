@@ -119,13 +119,8 @@ class BinaryQuadraticModel:
 
     @property
     def quadratic(self) -> Dict[Interaction, float]:
-        """Copy of the quadratic biases with canonically ordered keys."""
-        seen = {}
-        for u, nbrs in self._adj.items():
-            for v, bias in nbrs.items():
-                key = self._canonical(u, v)
-                seen[key] = bias
-        return seen
+        """Copy of the quadratic biases, keyed and ordered as :meth:`interactions`."""
+        return {(u, v): bias for u, v, bias in self.interactions()}
 
     def degree(self, v: Variable) -> int:
         """Number of quadratic terms the variable participates in."""
@@ -133,14 +128,20 @@ class BinaryQuadraticModel:
         return len(self._adj[v])
 
     def interactions(self) -> Iterator[Tuple[Variable, Variable, float]]:
-        """Iterate over ``(u, v, bias)`` for every quadratic term once."""
-        emitted = set()
+        """Iterate over ``(u, v, bias)`` for every quadratic term once.
+
+        Order contract, relied on by compiled adjacency and the golden
+        fixtures: each pair is ordered by ``(type name, str)``, and edges
+        come in first-visit order of the insertion-ordered adjacency walk.
+        """
+        key = {v: (str(type(v)), str(v)) for v in self._adj}
+        walked = set()
         for u, nbrs in self._adj.items():
+            u_key = key[u]
             for v, bias in nbrs.items():
-                key = self._canonical(u, v)
-                if key not in emitted:
-                    emitted.add(key)
-                    yield key[0], key[1], bias
+                if v not in walked:
+                    yield (v, u, bias) if key[v] < u_key else (u, v, bias)
+            walked.add(u)
 
     def __contains__(self, v: Variable) -> bool:
         return v in self._linear
@@ -274,32 +275,25 @@ class BinaryQuadraticModel:
         """
         if vartype is self._vartype:
             return self.copy()
+        # multipliers of a linear bias (into linear, offset) and of a
+        # quadratic bias (into quadratic, each endpoint's linear, offset)
+        if vartype is Vartype.SPIN:  # x = (s + 1)/2
+            lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = 0.5, 0.5, 0.25, 0.25, 0.25
+        else:  # s = 2x - 1
+            lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = 2.0, -1.0, 4.0, -2.0, 1.0
         out = BinaryQuadraticModel(vartype=vartype)
-        if self._vartype is Vartype.BINARY:
-            # x = (s+1)/2
-            out.offset = self.offset
-            for v, a in self._linear.items():
-                out.add_linear(v, a / 2.0)
-                out.offset += a / 2.0
-            for u, v, b in self.interactions():
-                out.add_quadratic(u, v, b / 4.0)
-                out.add_linear(u, b / 4.0)
-                out.add_linear(v, b / 4.0)
-                out.offset += b / 4.0
-        else:
-            # s = 2x-1
-            out.offset = self.offset
-            for v, h in self._linear.items():
-                out.add_linear(v, 2.0 * h)
-                out.offset -= h
-            for u, v, j in self.interactions():
-                out.add_quadratic(u, v, 4.0 * j)
-                out.add_linear(u, -2.0 * j)
-                out.add_linear(v, -2.0 * j)
-                out.offset += j
-        # make sure isolated variables survive the conversion
-        for v in self._linear:
-            out.add_linear(v, 0.0)
+        linear, adj, offset = out._linear, out._adj, self.offset
+        # ``0.0 +`` turns -0.0 into 0.0, as add_linear and add_quadratic do
+        for v, a in self._linear.items():
+            linear[v] = 0.0 + lin_k * a
+            adj[v] = {}
+            offset += lin_off_k * a
+        for u, v, b in self.interactions():
+            adj[u][v] = adj[v][u] = 0.0 + quad_k * b
+            linear[u] += quad_lin_k * b
+            linear[v] += quad_lin_k * b
+            offset += quad_off_k * b
+        out.offset = offset
         return out
 
     def to_ising(self) -> Tuple[Dict[Variable, float], Dict[Interaction, float], float]:
@@ -353,7 +347,7 @@ class BinaryQuadraticModel:
         Returns ``(Q, offset, order)`` where ``x^T Q x + offset`` equals
         :meth:`energy` for binary assignments ordered by ``order``.
         """
-        binary = self.change_vartype(Vartype.BINARY)
+        binary = self if self._vartype is Vartype.BINARY else self.change_vartype(Vartype.BINARY)
         order = tuple(variable_order) if variable_order is not None else binary.variables
         index = {v: i for i, v in enumerate(order)}
         missing = set(binary.variables) - set(order)
@@ -385,11 +379,6 @@ class BinaryQuadraticModel:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _canonical(u: Variable, v: Variable) -> Interaction:
-        a, b = sorted((u, v), key=lambda x: (str(type(x)), str(x)))
-        return (a, b)
-
     def _require(self, v: Variable) -> None:
         if v not in self._linear:
             raise VariableError(f"unknown variable {v!r}")

@@ -43,7 +43,7 @@ Two energy evaluators are exposed on purpose:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -89,7 +89,9 @@ class CompiledBQM:
         offset: float,
         variables: Tuple[Hashable, ...],
         linear: np.ndarray,
-        edges: Sequence[Tuple[int, int, float]],
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        edge_bias: np.ndarray,
         dense: Optional[np.ndarray],
         spin: Optional["CompiledBQM"],
     ) -> None:
@@ -98,39 +100,28 @@ class CompiledBQM:
         self.variables = variables
         self.index = {v: i for i, v in enumerate(variables)}
         self.linear = np.ascontiguousarray(linear, dtype=float)
+        self.edge_u = edge_u
+        self.edge_v = edge_v
+        self.edge_bias = edge_bias
         n = len(variables)
 
-        self.edge_u = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-        self.edge_v = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
-        self.edge_bias = np.fromiter(
-            (e[2] for e in edges), dtype=float, count=len(edges)
-        )
+        # per-variable adjacency in the dict samplers' append order (both
+        # endpoints of each edge, interactions() emission order): a stable
+        # sort of the interleaved endpoints keeps that order per variable
+        ends = np.column_stack((edge_u, edge_v)).ravel()
+        by_end = np.argsort(ends, kind="stable")
+        biases = np.repeat(edge_bias, 2)
+        nbrs = np.column_stack((edge_v, edge_u)).ravel()[by_end]
+        cpls = biases[by_end]
+        bounds = [0, *np.cumsum(np.bincount(ends, minlength=n)).tolist()]
+        spans = list(zip(bounds, bounds[1:]))
+        self.neighbor_index = [nbrs[a:b] for a, b in spans]
+        self.neighbor_bias = [cpls[a:b] for a, b in spans]
 
-        # per-variable adjacency, append order replicating the dict
-        # samplers (both endpoints, interactions() emission order)
-        nbr: List[List[int]] = [[] for _ in range(n)]
-        cpl: List[List[float]] = [[] for _ in range(n)]
-        for u, v, bias in edges:
-            nbr[u].append(v)
-            cpl[u].append(bias)
-            nbr[v].append(u)
-            cpl[v].append(bias)
-        empty_i = np.empty(0, dtype=np.intp)
-        empty_f = np.empty(0, dtype=float)
-        self.neighbor_index = [
-            np.array(lst, dtype=np.intp) if lst else empty_i for lst in nbr
-        ]
-        self.neighbor_bias = [
-            np.array(lst, dtype=float) if lst else empty_f for lst in cpl
-        ]
-
-        # |linear| + Σ|bias| per variable, accumulated in the exact
-        # order the dict-based β-schedule heuristic used
-        totals = np.abs(self.linear).astype(float)
-        for u, v, bias in edges:
-            magnitude = abs(bias)
-            totals[u] += magnitude
-            totals[v] += magnitude
+        # |linear| + Σ|bias| per variable; ufunc.at adds in index order,
+        # the exact order the dict-based β-schedule heuristic used
+        totals = np.abs(self.linear)
+        np.add.at(totals, ends, np.abs(biases))
         self.abs_totals = totals
 
         self.dense = dense
@@ -225,23 +216,23 @@ class CompiledBQM:
     def energies_compat(self, states: np.ndarray) -> np.ndarray:
         """Energies in the dict implementation's accumulation order.
 
-        Sequential over terms (offset, then linear biases in variable
-        order, then quadratic biases in interaction order) and
-        vectorized over rows, so every row's float additions happen in
-        exactly the order :meth:`BinaryQuadraticModel.energy` performs
-        them — bit-identical results, at ``O(n + m)`` numpy calls.
+        Every term (offset, then linear biases in variable order, then
+        quadratic biases in interaction order) is formed with the same
+        float operations as :meth:`BinaryQuadraticModel.energy`, and
+        each row's terms are summed strictly left to right
+        (``ufunc.accumulate`` never sums pairwise, unlike ``reduce``) —
+        bit-identical results.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        out = np.full(states.shape[0], self.offset, dtype=float)
-        linear = self.linear
-        for i in range(linear.size):
-            out += linear[i] * states[:, i]
-        edge_bias = self.edge_bias
-        edge_u = self.edge_u
-        edge_v = self.edge_v
-        for k in range(edge_bias.size):
-            out += edge_bias[k] * states[:, edge_u[k]] * states[:, edge_v[k]]
-        return out
+        terms = np.concatenate(
+            (
+                np.full((states.shape[0], 1), self.offset),
+                states * self.linear,
+                self.edge_bias * states[:, self.edge_u] * states[:, self.edge_v],
+            ),
+            axis=1,
+        )
+        return np.ascontiguousarray(np.add.accumulate(terms, axis=1)[:, -1])
 
     # ------------------------------------------------------------------
     # Local fields and single-flip deltas
@@ -311,16 +302,20 @@ def compile_bqm(
     index = {v: i for i, v in enumerate(variables)}
     linear_map = bqm.linear
     linear = np.fromiter((linear_map[v] for v in variables), dtype=float, count=n)
-    edges = [(index[u], index[v], bias) for u, v, bias in bqm.interactions()]
+    terms = list(bqm.interactions())
+    m = len(terms)
+    edge_u = np.fromiter((index[t[0]] for t in terms), dtype=np.intp, count=m)
+    edge_v = np.fromiter((index[t[1]] for t in terms), dtype=np.intp, count=m)
+    edge_bias = np.fromiter((t[2] for t in terms), dtype=float, count=m)
 
     dense: Optional[np.ndarray] = None
     max_edges = n * (n - 1) / 2.0
-    density = (len(edges) / max_edges) if max_edges else 0.0
+    density = (m / max_edges) if max_edges else 0.0
     if n and (n <= dense_size_threshold or density >= dense_density_threshold):
+        # each unordered pair appears once, so no index repeats
         dense = np.zeros((n, n), dtype=float)
-        for u, v, bias in edges:
-            dense[u, v] += bias
-            dense[v, u] += bias
+        dense[edge_u, edge_v] += edge_bias
+        dense[edge_v, edge_u] += edge_bias
 
     spin: Optional[CompiledBQM] = None
     if with_spin and bqm.vartype is Vartype.BINARY:
@@ -336,7 +331,9 @@ def compile_bqm(
         offset=bqm.offset,
         variables=variables,
         linear=linear,
-        edges=edges,
+        edge_u=edge_u,
+        edge_v=edge_v,
+        edge_bias=edge_bias,
         dense=dense,
         spin=spin,
     )

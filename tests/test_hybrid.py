@@ -475,6 +475,23 @@ class TestTimeBudgetedSolve:
         assert supports_time_budget(make_solver("greedy"))
         assert supports_time_budget(make_solver("hybrid"))
 
+    def test_probe_cache_does_not_pin_solvers(self):
+        import gc
+        import weakref
+
+        from repro.hybrid import supports_time_budget
+        from repro.hybrid.registry import accepts_keyword, supports_compiled
+
+        solver = make_solver("tabu")
+        assert supports_time_budget(solver) and supports_compiled(solver)
+        assert supports_time_budget(solver)  # cached answer agrees
+        assert accepts_keyword(type(solver).solve, "self")  # unbound keeps self
+        assert not accepts_keyword(solver.solve, "self")  # bound drops it
+        ref = weakref.ref(solver)
+        del solver
+        gc.collect()
+        assert ref() is None
+
     def test_budgeted_solve_deterministic(self):
         bqm = self._bqm()
         first = make_solver("sa", num_reads=4).solve(bqm, seed=7, time_budget=10.0)

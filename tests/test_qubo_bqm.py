@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ModelError, VariableError
 from repro.qubo import BinaryQuadraticModel, Vartype
@@ -180,3 +181,108 @@ class TestInteractionGraph:
         assert set(g.nodes) == {"a", "b", "c"}
         assert g.number_of_edges() == 2
         assert g.has_edge("a", "b") and g.has_edge("b", "c")
+
+
+def _reference_canonical(u, v):
+    return tuple(sorted((u, v), key=lambda x: (str(type(x)), str(x))))
+
+
+def _reference_interactions(bqm):
+    """The sort-per-edge walk ``interactions()`` replaced; its order is the contract."""
+    emitted = set()
+    out = []
+    for u, nbrs in bqm._adj.items():
+        for v, bias in nbrs.items():
+            key = _reference_canonical(u, v)
+            if key not in emitted:
+                emitted.add(key)
+                out.append((key[0], key[1], bias))
+    return out
+
+
+def _reference_quadratic(bqm):
+    seen = {}
+    for u, nbrs in bqm._adj.items():
+        for v, bias in nbrs.items():
+            seen[_reference_canonical(u, v)] = bias
+    return seen
+
+
+def _reference_change_vartype(bqm, vartype):
+    """The add_linear/add_quadratic conversion ``change_vartype`` replaced."""
+    out = BinaryQuadraticModel(vartype=vartype)
+    out.offset = bqm.offset
+    if vartype is Vartype.SPIN:
+        for v, a in bqm.linear.items():
+            out.add_linear(v, a / 2.0)
+            out.offset += a / 2.0
+        for u, v, b in _reference_interactions(bqm):
+            out.add_quadratic(u, v, b / 4.0)
+            out.add_linear(u, b / 4.0)
+            out.add_linear(v, b / 4.0)
+            out.offset += b / 4.0
+    else:
+        for v, h in bqm.linear.items():
+            out.add_linear(v, 2.0 * h)
+            out.offset -= h
+        for u, v, j in _reference_interactions(bqm):
+            out.add_quadratic(u, v, 4.0 * j)
+            out.add_linear(u, -2.0 * j)
+            out.add_linear(v, -2.0 * j)
+            out.offset += j
+    for v in bqm.variables:
+        out.add_linear(v, 0.0)
+    return out
+
+
+def _bits(bqm):
+    """Every bias with its insertion order; ``repr`` tells -0.0 from 0.0."""
+    return repr((list(bqm._linear.items()), list(bqm._adj.items()), bqm.offset))
+
+
+_variables = st.one_of(
+    st.integers(-3, 12),
+    st.text(alphabet="ab1-", min_size=1, max_size=2),
+    st.tuples(st.sampled_from("pq"), st.integers(0, 2)),
+)
+_edits = st.sampled_from(["fix", "remove", "scale", "copy", "spin", "binary"])
+
+
+class TestInteractionOrder:
+    """``interactions``, ``quadratic`` and ``change_vartype`` reproduce their
+    sort-per-edge and add_linear/add_quadratic references bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_sort_per_edge_reference(self, data):
+        variables = data.draw(st.lists(_variables, unique=True, max_size=10))
+        vartype = data.draw(st.sampled_from(list(Vartype)))
+        bqm = BinaryQuadraticModel(vartype=vartype)
+        bias = st.floats(-4, 4, allow_nan=False)
+        for v in variables:
+            bqm.add_linear(v, data.draw(bias))
+        if variables:
+            pairs = st.tuples(st.sampled_from(variables), st.sampled_from(variables), bias)
+            for u, v, b in data.draw(st.lists(pairs, max_size=30)):
+                bqm.add_quadratic(u, v, b)
+        models = [bqm]
+        for edit in data.draw(st.lists(_edits, max_size=4)):
+            bqm = bqm.copy() if edit == "copy" else bqm
+            if edit == "fix" and bqm.variables:
+                v = data.draw(st.sampled_from(bqm.variables))
+                bqm.fix_variable(v, data.draw(st.sampled_from(bqm.vartype.values)))
+            elif edit == "remove" and bqm.num_interactions:
+                u, v, _ = data.draw(st.sampled_from(list(bqm.interactions())))
+                bqm.remove_interaction(v, u)
+            elif edit == "scale":
+                bqm.scale(data.draw(st.floats(-3, 3, allow_nan=False)))
+            elif edit in ("spin", "binary"):
+                bqm = bqm.change_vartype(Vartype.SPIN if edit == "spin" else Vartype.BINARY)
+            models.append(bqm)
+        for model in models:
+            assert list(model.interactions()) == _reference_interactions(model)
+            quadratic = model.quadratic
+            assert list(quadratic.items()) == list(_reference_quadratic(model).items())
+            other = Vartype.BINARY if model.vartype is Vartype.SPIN else Vartype.SPIN
+            converted = model.change_vartype(other)
+            assert _bits(converted) == _bits(_reference_change_vartype(model, other))

@@ -1,5 +1,7 @@
 """Tests for the deadline-aware optimization service."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -267,6 +269,23 @@ class TestService:
         assert stats["counters"]["requests_ok"] == 1
         assert stats["histograms"]["latency_ms"]["count"] == 1
         assert "compiled" in stats["cache"] and "results" in stats["cache"]
+
+    #: SHA-256 of the plans served below; a change means the miss path (QUBO
+    #: build, compile, chain stages) serves different plans -- do not re-pin
+    #: it to paper over a change that was meant to be bit-identical
+    SERVED_PLAN_DIGEST = "f5711a9fc57cf1cddcf7b01c178588ae6a60298106eaa4c0eafe2111b69fc1d7"
+
+    def test_served_plan_digest_pinned(self):
+        # every request is a distinct problem, so nothing is a cache hit;
+        # the 10 s deadline keeps every stage untruncated on any host
+        stream = replay_stream(40, seed=11, unique=10**6, zipf_s=0.0, deadline_ms=10_000)
+        service = OptimizationService(seed=0)
+        rows = []
+        for request in list(stream):
+            result = service.optimize(request)
+            rows.append([result.kind, result.plan, result.cost, result.energy, result.served_by])
+        blob = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == self.SERVED_PLAN_DIGEST
 
 
 class TestScheduler:
