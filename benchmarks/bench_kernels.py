@@ -28,7 +28,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -38,7 +37,7 @@ import numpy as np
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from provenance import provenance_block  # noqa: E402
+from provenance import write_report  # noqa: E402
 
 from repro.qubo.bqm import BinaryQuadraticModel, Vartype  # noqa: E402
 from repro.qubo.compiled import compile_bqm  # noqa: E402
@@ -215,16 +214,12 @@ def main(argv=None) -> int:
         print("smoke ok: compiled kernel faster on every point")
         return 0
 
-    report = {
-        "benchmark": "kernels",
-        "config": {"num_sweeps": num_sweeps, "num_reads": num_reads, "seed": args.seed},
-        "provenance": provenance_block(),
-        "points": points,
-    }
-    pathlib.Path(args.output).write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
+    write_report(
+        args.output,
+        "kernels",
+        {"num_sweeps": num_sweeps, "num_reads": num_reads, "seed": args.seed},
+        {"points": points},
     )
-    print(f"wrote {args.output}")
     return 0
 
 

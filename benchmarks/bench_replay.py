@@ -27,14 +27,13 @@ Writes ``BENCH_replay.json`` at the repository root.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from provenance import provenance_block  # noqa: E402
+from provenance import write_report  # noqa: E402
 
 from repro.replay import replay_stream, run_replay  # noqa: E402
 from repro.server import ServiceConfig, make_scheduler  # noqa: E402
@@ -117,29 +116,21 @@ def main(argv=None) -> int:
 
     runs = {backend: run_once(args, backend, requests, unique) for backend in backends}
 
-    report = {
-        "benchmark": "replay",
-        "config": {
-            "requests": requests,
-            "unique": unique,
-            "zipf_s": args.zipf_s,
-            "rate": args.rate,
-            "workers": args.workers,
-            "max_in_flight": args.max_in_flight,
-            "queue_limit": args.queue_limit,
-            "deadline_ms": args.deadline_ms,
-            "mqo_fraction": args.mqo_fraction,
-            "sql_fraction": args.sql_fraction,
-            "seed": args.seed,
-            "smoke": args.smoke,
-        },
-        "provenance": provenance_block(),
-        "backends": runs,
+    config = {
+        "requests": requests,
+        "unique": unique,
+        "zipf_s": args.zipf_s,
+        "rate": args.rate,
+        "workers": args.workers,
+        "max_in_flight": args.max_in_flight,
+        "queue_limit": args.queue_limit,
+        "deadline_ms": args.deadline_ms,
+        "mqo_fraction": args.mqo_fraction,
+        "sql_fraction": args.sql_fraction,
+        "seed": args.seed,
+        "smoke": args.smoke,
     }
-    pathlib.Path(args.output).write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {args.output}")
+    write_report(args.output, "replay", config, {"backends": runs})
     healthy = all(
         run["errors"] == 0 and run["invalid"] == 0 and run["ok"] > 0
         and run["requests"] == requests

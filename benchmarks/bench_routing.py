@@ -29,7 +29,6 @@ ratios finite), not exact numbers.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import statistics
 import sys
@@ -37,7 +36,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from provenance import provenance_block  # noqa: E402
+from provenance import write_report  # noqa: E402
 
 from repro.experiments.routed_vs_static import run_routed_vs_static  # noqa: E402
 
@@ -129,22 +128,13 @@ def main(argv=None) -> int:
         f"worst cost ratio {summary['max_cost_ratio']}"
     )
 
-    report = {
-        "benchmark": "routing",
-        "config": {
-            "requests": requests,
-            "deadlines_ms": list(deadlines),
-            "seeds": list(seeds),
-            "smoke": args.smoke,
-        },
-        "provenance": provenance_block(),
-        "rows": rows,
-        "summary": summary,
+    config = {
+        "requests": requests,
+        "deadlines_ms": list(deadlines),
+        "seeds": list(seeds),
+        "smoke": args.smoke,
     }
-    pathlib.Path(args.output).write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {args.output}")
+    write_report(args.output, "routing", config, {"rows": rows, "summary": summary})
     if args.smoke:
         # structural health only: rows present and quality ratio finite
         return 0 if rows and ratios else 1

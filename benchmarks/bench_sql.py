@@ -26,7 +26,6 @@ repeat, still producing the full report shape.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import statistics
 import sys
@@ -35,7 +34,7 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from provenance import provenance_block  # noqa: E402
+from provenance import write_report  # noqa: E402
 
 from repro.service import OptimizationRequest, OptimizationService  # noqa: E402
 from repro.sql import (  # noqa: E402
@@ -144,22 +143,14 @@ def main(argv=None) -> int:
         )
     print(f"valid plans: {body['valid_plans']}/{body['queries']}")
 
-    report = {
-        "benchmark": "sql",
-        "config": {
-            "queries": args.queries,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "deadline_ms": args.deadline_ms,
-            "smoke": args.smoke,
-        },
-        "provenance": provenance_block(),
-        **body,
+    config = {
+        "queries": args.queries,
+        "repeats": args.repeats,
+        "seed": args.seed,
+        "deadline_ms": args.deadline_ms,
+        "smoke": args.smoke,
     }
-    pathlib.Path(args.output).write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {args.output}")
+    write_report(args.output, "sql", config, body)
     return 0 if body["valid_plans"] == body["queries"] else 1
 
 

@@ -1,28 +1,29 @@
 """Shared provenance block for every ``BENCH_*.json`` writer.
 
-Benchmark artifacts are compared across PRs, so each one must say
+Benchmark artifacts are compared across commits, so each one must say
 *where* it was measured: interpreter, platform, core count, and the
-exact commit.  Every ``benchmarks/bench_*.py`` script stamps
-:func:`provenance_block` into its report under the ``"provenance"``
-key; keeping the block in one place means the writers cannot drift
-apart in what they record.
+exact commit.  Every ``benchmarks/bench_*.py`` script writes its report
+through :func:`write_report`, which stamps :func:`provenance_block`
+under the ``"provenance"`` key; keeping the block and the file layout
+in one place means the writers cannot drift apart in what they record.
 
 The scripts are run as ``python benchmarks/bench_x.py``, which puts
 this directory on ``sys.path`` — they import this module directly
-(``from provenance import provenance_block``).
+(``from provenance import write_report``).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import platform
 import subprocess
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-__all__ = ["provenance_block"]
+__all__ = ["provenance_block", "write_report"]
 
 
 def _git_commit() -> Optional[str]:
@@ -49,3 +50,17 @@ def provenance_block() -> Dict[str, object]:
         "cpu_count": os.cpu_count(),
         "git_commit": _git_commit(),
     }
+
+
+def write_report(
+    path, benchmark: str, config: Dict[str, Any], body: Dict[str, Any]
+) -> None:
+    """Write ``{"benchmark", "config", "provenance", **body}`` to ``path``."""
+    report = {
+        "benchmark": benchmark,
+        "config": config,
+        "provenance": provenance_block(),
+        **body,
+    }
+    pathlib.Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")

@@ -15,12 +15,22 @@ evaluation uses (Sec. 6.2.1, 6.3.5):
 """
 
 from repro.annealing.sampleset import SampleSet
-from repro.annealing.chimera import chimera_graph
-from repro.annealing.pegasus import pegasus_graph
 from repro.annealing.simulated_annealing import SimulatedAnnealingSampler
 from repro.annealing.exact_sampler import ExactSampler
-from repro.annealing.embedding import EmbeddingResult, find_embedding
-from repro.annealing.composites import EmbeddingComposite, StructureComposite
+from repro.lazy import lazy_exports
+
+# networkx-backed, so imported on first use: serving needs none of them
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "chimera_graph": "chimera",
+        "pegasus_graph": "pegasus",
+        "EmbeddingResult": "embedding",
+        "find_embedding": "embedding",
+        "EmbeddingComposite": "composites",
+        "StructureComposite": "composites",
+    },
+)
 
 __all__ = [
     "SampleSet",

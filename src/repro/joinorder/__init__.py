@@ -33,13 +33,25 @@ from repro.joinorder.classical import (
     solve_greedy,
     solve_simulated_annealing,
 )
-from repro.joinorder.milp import JoinOrderMilp, MilpStatistics
-from repro.joinorder.bilp import JoinOrderBilp
-from repro.joinorder.qubo import bilp_to_bqm, penalty_weight
-from repro.joinorder.pipeline import JoinOrderQuantumPipeline, PipelineReport
 from repro.joinorder.direct_qubo import DirectJoinOrderQubo, solve_direct_with_annealer
 from repro.joinorder.bushy import BushyResult, left_deep_penalty, solve_dp_bushy
-from repro.joinorder.ikkbz import solve_ikkbz
+from repro.lazy import lazy_exports
+
+# the MILP -> BILP -> QUBO pipeline needs scipy.optimize and IKKBZ needs
+# networkx, so they are imported on first use: serving needs neither
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "JoinOrderMilp": "milp",
+        "MilpStatistics": "milp",
+        "JoinOrderBilp": "bilp",
+        "bilp_to_bqm": "qubo",
+        "penalty_weight": "qubo",
+        "JoinOrderQuantumPipeline": "pipeline",
+        "PipelineReport": "pipeline",
+        "solve_ikkbz": "ikkbz",
+    },
+)
 
 __all__ = [
     "Predicate",

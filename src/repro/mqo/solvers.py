@@ -31,7 +31,6 @@ from repro.exceptions import SolverError
 from repro.annealing.simulated_annealing import SimulatedAnnealingSampler
 from repro.mqo.problem import MqoProblem, MqoSolution
 from repro.mqo.qubo import MqoQuboBuilder
-from repro.variational.minimum_eigen import MinimumEigenOptimizer
 
 
 def solve_greedy_local(problem: MqoProblem) -> MqoSolution:
@@ -127,6 +126,10 @@ def solve_with_minimum_eigen(
     max_qubits: int = 32,
 ) -> MqoSolution:
     """Solve via the QUBO + a gate-model eigensolver (VQE/QAOA/exact)."""
+    # imported here: the variational stack pulls scipy.optimize and
+    # networkx, which the serving path (this module's greedy repair) avoids
+    from repro.variational.minimum_eigen import MinimumEigenOptimizer
+
     builder = MqoQuboBuilder(problem)
     bqm = builder.build()
     optimizer = MinimumEigenOptimizer(solver, max_qubits=max_qubits)

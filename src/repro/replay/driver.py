@@ -5,8 +5,8 @@ pulls requests from a (lazy) stream, keeps at most ``max_in_flight`` of
 them admitted at once, optionally paces submissions to an open-loop
 arrival rate, and records what production dashboards would: client-side
 latency percentiles, result-cache and coalescing hit rates (plus the
-process pool's parent-side result cache), admission
-rejections, and deadline misses.  Every served plan is also checked
+scheduler's own result cache), admission rejections, and deadline
+misses.  Every served plan is also checked
 against its problem (``make_adapter(kind, problem).validate``); a plan
 that fails counts as ``invalid``.
 
@@ -61,8 +61,7 @@ class ReplayReport:
     latency_ms: Dict[str, float] = field(default_factory=dict)
     cache: Dict[str, float] = field(default_factory=dict)
     coalesce: Dict[str, float] = field(default_factory=dict)
-    #: the process pool's parent-side result cache (size, capacity,
-    #: hits); empty for backends without one
+    #: the scheduler's result cache (size, capacity, hits)
     result_cache: Dict[str, int] = field(default_factory=dict)
     #: the router's counters (requests, deadline_miss, fallthrough,
     #: infeasible); empty when routing is off

@@ -9,9 +9,10 @@ service with deadline-aware fallback chains.  This package makes it
   instead of serializing on the GIL.  Requests/results cross workers
   as :mod:`repro.serialization` JSON; per-worker caches warm at
   startup; ``stats()`` merges every worker into one report.
-* request coalescing (shared with the thread backend, see
-  :class:`repro.service.core.SchedulerBase`) — duplicate in-flight
-  requests attach to the running solve and all receive its result.
+* request coalescing and the result cache (shared with the thread
+  backend, see :class:`repro.service.core.SchedulerBase`) — duplicate
+  in-flight requests attach to the running solve and all receive its
+  result; repeats of a finished one are answered without a solve.
 * :mod:`~repro.server.gateway` + :mod:`~repro.server.routes` +
   :mod:`~repro.server.models` — a stdlib-only asyncio HTTP front door
   (``POST /optimize``, ``POST /sql``, ``GET /stats``,
@@ -41,6 +42,7 @@ from repro.server.pool import (
     ProcessPoolScheduler,
     ServiceConfig,
     default_warmup_requests,
+    warm_up,
 )
 from repro.service.core import BatchScheduler, OptimizationService, SchedulerBase
 
@@ -99,14 +101,7 @@ def make_scheduler(
         )
     if backend == "thread":
         service = config.build()
-        warmup_requests = default_warmup_requests() if warmup is None else list(warmup)
-        for request in warmup_requests:
-            try:
-                service.optimize(request)
-            except Exception:  # noqa: BLE001 — warmup is best-effort
-                pass
-        service.metrics.reset()
-        service.cache.reset_counters()
+        warm_up(service, default_warmup_requests() if warmup is None else warmup)
         return BatchScheduler(
             service, workers=workers, queue_limit=queue_limit, coalesce=coalesce
         )

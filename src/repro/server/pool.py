@@ -31,15 +31,11 @@ Design decisions worth knowing:
 * **Round-robin dispatch over per-worker queues** — deterministic
   assignment, and a dedicated control lane for stats polls and the
   graceful-shutdown sentinel (queued work always drains first).
-* **Parent-side result cache** — a bounded LRU
-  (``ServiceConfig.result_capacity`` entries) keyed by the coalesce
-  key :meth:`submit` already computes.  The collector stores every
-  worker answer the service itself would cache (``ok``, not
-  deadline-truncated, positive deadline); a repeat is then answered
-  inside :meth:`submit` with ``cache_hit=True`` — no JSON encode, no
-  IPC, no adapter rebuild in a worker.  Parent hits are counted under
-  the worker's metric names so the merged report stays exact.
-  ``coalesce=False`` computes no key and therefore bypasses it.
+* **Parent-side result cache** — :class:`SchedulerBase`'s bounded LRU
+  (``ServiceConfig.result_capacity`` entries): a repeat of a finished
+  request is answered inside :meth:`submit` — no JSON encode, no IPC,
+  no adapter rebuild in a worker.  Parent hits are counted under the
+  worker's metric names so the merged report stays exact.
 """
 
 from __future__ import annotations
@@ -48,22 +44,15 @@ import multiprocessing
 import os
 import queue as queue_mod
 import threading
-import time
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import serialization
 from repro.exceptions import ConfigurationError, SolverError, WorkerCrashError
-from repro.service.cache import LruSection, merge_cache_stats
+from repro.service.cache import merge_cache_stats
 from repro.service.chain import StageSpec, default_policy, parse_policy
-from repro.service.core import (
-    OptimizationService,
-    SchedulerBase,
-    coalesce_key,
-    record_arrival,
-    record_served,
-)
+from repro.service.core import OptimizationService, SchedulerBase
 from repro.service.metrics import merge_metric_states
 from repro.service.request import OptimizationRequest, OptimizationResult
 
@@ -71,6 +60,7 @@ __all__ = [
     "ProcessPoolScheduler",
     "ServiceConfig",
     "default_warmup_requests",
+    "warm_up",
 ]
 
 #: seed namespace for warmup problems — far from any workload seed so
@@ -179,6 +169,20 @@ def default_warmup_requests(include_sql: bool = True) -> List[OptimizationReques
     return requests
 
 
+def warm_up(service: OptimizationService, requests: Sequence[OptimizationRequest]) -> None:
+    """Serve ``requests`` best-effort, then zero the service's counters.
+
+    The warm entries stay cached; the serving report starts clean.
+    """
+    for request in requests:
+        try:
+            service.optimize(request)
+        except Exception:  # noqa: BLE001 — warmup is best-effort
+            pass
+    service.metrics.reset()
+    service.cache.reset_counters()
+
+
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
@@ -191,14 +195,7 @@ def _worker_main(
 ) -> None:
     """One worker process: build a service, warm it, serve the queue."""
     service = ServiceConfig.from_dict(config_data).build()
-    for text in warmup_texts:
-        try:
-            service.optimize(serialization.loads(text))
-        except Exception:  # noqa: BLE001 — warmup is best-effort
-            pass
-    # warm entries stay; the serving report starts from clean counters
-    service.metrics.reset()
-    service.cache.reset_counters()
+    warm_up(service, [serialization.loads(text) for text in warmup_texts])
     result_queue.put(("ready", worker_index, os.getpid()))
     while True:
         item = task_queue.get()
@@ -250,8 +247,14 @@ class ProcessPoolScheduler(SchedulerBase):
         start_method: Optional[str] = None,
         ready_timeout: float = 120.0,
     ) -> None:
-        super().__init__(workers=workers, queue_limit=queue_limit, coalesce=coalesce)
         self.config = config if config is not None else ServiceConfig()
+        super().__init__(
+            (self.config.seed, self.config.effective_policy(), self.config.routing),
+            self.config.result_capacity,
+            workers=workers,
+            queue_limit=queue_limit,
+            coalesce=coalesce,
+        )
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
             start_method = "fork" if "fork" in methods else methods[0]
@@ -271,18 +274,13 @@ class ProcessPoolScheduler(SchedulerBase):
 
         self._result_queue = ctx.Queue()
         self._task_queues = [ctx.Queue() for _ in range(self.workers)]
-        #: task_id -> (future, target worker, serialized request, retries,
-        #: result-cache key or None).  The payload stays here so a
-        #: request stranded on a crashed worker can be re-enqueued
-        #: verbatim on a live one.
-        self._pending: Dict[int, Tuple[Future, int, str, int, Optional[str]]] = {}
-        #: parent-side result cache: coalesce key -> a worker's answer
-        #: (guarded by the scheduler lock: LruSection is not thread-safe)
-        self._results = LruSection(self.config.result_capacity)
+        #: task_id -> (future, target worker, serialized request, retries).
+        #: The payload stays here so a request stranded on a crashed
+        #: worker can be re-enqueued verbatim on a live one.
+        self._pending: Dict[int, Tuple[Future, int, str, int]] = {}
         self._stats_waiters: Dict[int, Future] = {}
         self._next_task = 0
         self._round_robin = 0
-        self._closed = False
         self._final_states: Optional[List[Dict[str, Any]]] = None
         self._ready = threading.Event()
         self._ready_count = 0
@@ -347,12 +345,6 @@ class ProcessPoolScheduler(SchedulerBase):
             )
         section = self._scheduler_section()
         section["start_method"] = self.start_method
-        with self._lock:
-            section["result_cache"] = {
-                "size": len(self._results.entries),
-                "capacity": self._results.capacity,
-                "hits": self._results.hits,
-            }
         section["per_worker"] = [
             {
                 "worker": state.get("worker"),
@@ -385,35 +377,7 @@ class ProcessPoolScheduler(SchedulerBase):
         self._fail_outstanding("process pool shut down")
 
     # ------------------------------------------------------------------
-    def _cached_result(
-        self, request: OptimizationRequest, key: str, start: float
-    ) -> Optional[OptimizationResult]:
-        # called under the scheduler lock (see SchedulerBase.submit)
-        if self._closed:
-            return None  # _dispatch raises, whatever the cache holds
-        stored = self._results.get(key)
-        if stored is None:
-            # not counted: the worker records its own lookup
-            return None
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        metrics = self.scheduler_metrics
-        record_arrival(metrics, request.kind)
-        metrics.incr("cache.result_hits")
-        record_served(metrics, stored.served_by, stored.deadline_exceeded, elapsed_ms)
-        return replace(
-            stored,
-            request_id=request.request_id,
-            plan=dict(stored.plan),
-            cache_hit=True,
-            elapsed_ms=elapsed_ms,
-        )
-
-    def _dispatch(
-        self, request: OptimizationRequest, key: Optional[str]
-    ) -> "Future[OptimizationResult]":
-        # called under the scheduler lock (see SchedulerBase.submit)
-        if self._closed:
-            raise ConfigurationError("scheduler is shut down")
+    def _dispatch(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
         future: "Future[OptimizationResult]" = Future()
         task_id = self._next_task
         self._next_task += 1
@@ -424,8 +388,7 @@ class ProcessPoolScheduler(SchedulerBase):
             )
             return future
         payload = serialization.dumps(request, indent=None)
-        cache_key = key if request.deadline_ms > 0 else None
-        self._pending[task_id] = (future, target, payload, 0, cache_key)
+        self._pending[task_id] = (future, target, payload, 0)
         self._task_queues[target].put(("request", task_id, payload))
         return future
 
@@ -442,27 +405,6 @@ class ProcessPoolScheduler(SchedulerBase):
             if self._processes[index].is_alive() and not self._said_bye[index]:
                 return index
         return None
-
-    def _rejected(self, request: OptimizationRequest, reason: str) -> OptimizationResult:
-        # parent-side: workers never see rejected requests, so the
-        # admission counters live in the scheduler metrics and merge
-        # into the aggregated report alongside worker counters
-        self.scheduler_metrics.incr("requests_total")
-        self.scheduler_metrics.incr("requests_rejected")
-        return OptimizationResult(
-            request_id=request.request_id,
-            kind=request.kind,
-            status="rejected",
-            reject_reason=reason,
-        )
-
-    def _coalesce_key(self, request: OptimizationRequest) -> str:
-        return coalesce_key(
-            request,
-            self.config.seed,
-            self.config.effective_policy(),
-            routed=self.config.routing,
-        )
 
     # ------------------------------------------------------------------
     def _collect(self) -> None:
@@ -488,20 +430,7 @@ class ProcessPoolScheduler(SchedulerBase):
             elif tag == "result":
                 entry = self._pending.pop(ident, None)
                 if entry is not None:
-                    result = serialization.loads(payload)
-                    cache_key = entry[4]
-                    if (
-                        cache_key is not None
-                        and result.status == "ok"
-                        and not result.deadline_exceeded
-                    ):
-                        # stored before the future resolves, so a repeat
-                        # submitted once this answer is out always hits
-                        with self._lock:
-                            self._results.put(
-                                cache_key, replace(result, plan=dict(result.plan))
-                            )
-                    entry[0].set_result(result)
+                    entry[0].set_result(serialization.loads(payload))
             elif tag == "error":
                 entry = self._pending.pop(ident, None)
                 if entry is not None:
@@ -536,8 +465,8 @@ class ProcessPoolScheduler(SchedulerBase):
                 f"worker {index} (pid {process.pid}) died with exit code "
                 f"{process.exitcode}"
             )
-            for task_id, (future, _target, payload, retries, key) in stranded:
-                self._requeue(task_id, future, payload, retries, key, reason)
+            for task_id, (future, _target, payload, retries) in stranded:
+                self._requeue(task_id, future, payload, retries, reason)
 
     def _requeue(
         self,
@@ -545,13 +474,12 @@ class ProcessPoolScheduler(SchedulerBase):
         future: Future,
         payload: str,
         retries: int,
-        key: Optional[str],
         reason: str,
     ) -> None:
         with self._lock:
             target = None if retries >= 1 else self._pick_worker()
             if target is not None:
-                self._pending[task_id] = (future, target, payload, retries + 1, key)
+                self._pending[task_id] = (future, target, payload, retries + 1)
         if target is None:
             future.set_exception(
                 WorkerCrashError(f"request abandoned: {reason}")

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from threading import RLock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.exceptions import ConfigurationError
 from repro.harness import derive_seed, resolve_workers
-from repro.service.cache import CompilationCache
+from repro.service.cache import CompilationCache, LruSection
 from repro.service.chain import StageSpec, default_policy, policy_key, run_chain
 from repro.service.metrics import Metrics
 from repro.service.problems import make_adapter, problem_fingerprint
@@ -55,9 +57,9 @@ def record_served(
 ) -> None:
     """Count one answered request and observe its latency.
 
-    Shared by the service and the process pool's parent-side result
-    cache, so a request answered in either place lands under the same
-    counter names in the merged report.
+    Shared by the service and the scheduler result cache
+    (:class:`SchedulerBase`), so a request answered in either place
+    lands under the same counter names in the merged report.
     """
     metrics.incr("requests_ok")
     metrics.incr(f"served_by.{served_by}")
@@ -180,17 +182,6 @@ class OptimizationService:
             self.metrics.observe(f"stage_seconds.{entry['stage']}", entry["seconds"])
         return self._finish(request, outcome, start, cache_hit=False)
 
-    def reject(self, request: OptimizationRequest, reason: str) -> OptimizationResult:
-        """Admission-control rejection (also counted in the metrics)."""
-        self.metrics.incr("requests_total")
-        self.metrics.incr("requests_rejected")
-        return OptimizationResult(
-            request_id=request.request_id,
-            kind=request.kind,
-            status="rejected",
-            reject_reason=reason,
-        )
-
     def stats(self) -> Dict:
         """Metrics + cache snapshot for dashboards and the CLI."""
         snapshot = self.metrics.snapshot()
@@ -256,11 +247,21 @@ class OptimizationService:
 
 
 class SchedulerBase:
-    """Admission control + in-flight coalescing, backend-agnostic.
+    """The scheduler front end, backend-agnostic.
 
     Both scheduler backends — the thread pool below and the process
-    pool in :mod:`repro.server.pool` — share this front end:
+    pool in :mod:`repro.server.pool` — share everything :meth:`submit`
+    does before a solve starts:
 
+    * **result cache**: a bounded LRU (``result_capacity`` entries)
+      keyed by the request's :func:`coalesce_key`.  A finished answer
+      is stored when the service would cache it too (``ok``, not
+      deadline-truncated, positive deadline), before the client's
+      future resolves, so a repeat sent once an answer is out is
+      answered inside :meth:`submit` with ``cache_hit=True`` — no
+      worker, no adapter rebuild.  Hits are counted under the
+      service's metric names; ``stats()["scheduler"]["result_cache"]``
+      reports ``{size, capacity, hits}``;
     * **admission control**: ``queue_limit`` bounds the number of
       admitted-but-unfinished requests; beyond it, :meth:`submit`
       resolves immediately to a ``rejected`` result naming the
@@ -271,48 +272,63 @@ class SchedulerBase:
       result re-addressed under their own request id.  Followers
       consume no worker and no queue slot.  Counted as
       ``coalesce.hits`` / ``coalesce.misses`` in the scheduler section
-      of :meth:`stats`.
+      of :meth:`stats`;
+    * **shutdown**: :meth:`submit` after :meth:`shutdown` raises
+      :class:`ConfigurationError`.
 
-    Subclasses provide ``_dispatch`` (actually start one solve, given
-    the request's coalesce key), ``_rejected`` (build/record a
-    rejection) and ``_coalesce_key``, and may override
-    ``_cached_result`` to answer a key without dispatching at all.
+    ``coalesce=False`` computes no key, so it bypasses the result cache
+    as well.  ``key_inputs`` is the ``(seed, policy, routed)`` triple
+    the coalesce key is computed from; ``metrics`` receives the
+    scheduler's counters (a fresh :class:`Metrics` by default).
+    Subclasses provide ``_dispatch`` (start one solve), ``stats`` and
+    ``shutdown``.
     """
 
     backend = ""
 
     def __init__(
         self,
+        key_inputs: Tuple[int, Sequence[StageSpec], bool],
+        result_capacity: int,
         workers: Optional[int] = None,
         queue_limit: Optional[int] = None,
         coalesce: bool = True,
+        metrics: Optional[Metrics] = None,
     ) -> None:
+        seed, policy, routed = key_inputs
+        self._key_inputs = (int(seed), tuple(policy), bool(routed))
         self.workers = resolve_workers(workers)
         self.queue_limit = queue_limit
         self.coalesce = bool(coalesce)
-        self.scheduler_metrics = Metrics()
+        self.scheduler_metrics = metrics if metrics is not None else Metrics()
         # reentrant: a fast completion may run _release from within the
-        # submitting thread's add_done_callback while submit holds it
+        # submitting thread's add_done_callback while submit holds it.
+        # The lock also guards the result LruSection, which is not
+        # thread-safe on its own.
         self._lock = RLock()
+        self._closed = False
         self._in_flight = 0
         self._flights: Dict[str, "Future[OptimizationResult]"] = {}
+        self._results = LruSection(result_capacity)
 
     # ------------------------------------------------------------------
     def submit(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
-        """Admit (or reject, or coalesce) one request; returns a future."""
+        """Answer from cache, coalesce, reject or dispatch one request."""
         start = time.perf_counter()
-        key = self._coalesce_key(request) if self.coalesce else None
+        key = coalesce_key(request, *self._key_inputs) if self.coalesce else None
         with self._lock:
+            if self._closed:
+                raise ConfigurationError("scheduler is shut down")
             if key is not None:
-                cached = self._cached_result(request, key, start)
-                if cached is not None:
+                stored = self._results.get(key)
+                if stored is not None:
                     future: "Future[OptimizationResult]" = Future()
-                    future.set_result(cached)
+                    future.set_result(self._hit(request, stored, start))
                     return future
                 primary = self._flights.get(key)
                 if primary is not None:
                     self.scheduler_metrics.incr("coalesce.hits")
-                    return _follow(primary, request.request_id)
+                    return _chain(primary, lambda r: r.with_request_id(request.request_id))
                 self.scheduler_metrics.incr("coalesce.misses")
             if self.queue_limit is not None and self._in_flight >= self.queue_limit:
                 reason = (
@@ -323,8 +339,10 @@ class SchedulerBase:
                 future.set_result(self._rejected(request, reason))
                 return future
             self._in_flight += 1
-            future = self._dispatch(request, key)
+            future = self._dispatch(request)
             if key is not None:
+                # the answer is stored before the client's future resolves
+                future = _chain(future, lambda r: self._remember(request, key, r))
                 self._flights[key] = future
             future.add_done_callback(lambda _f: self._release(key))
         return future
@@ -348,19 +366,62 @@ class SchedulerBase:
         self.shutdown()
 
     # ------------------------------------------------------------------
+    def _dispatch(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
+        """Start one solve; called under the scheduler lock."""
+        raise NotImplementedError
+
     def _release(self, key: Optional[str]) -> None:
         with self._lock:
             self._in_flight -= 1
             if key is not None:
                 self._flights.pop(key, None)
 
+    def _hit(
+        self, request: OptimizationRequest, stored: OptimizationResult, start: float
+    ) -> OptimizationResult:
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        metrics = self.scheduler_metrics
+        record_arrival(metrics, request.kind)
+        metrics.incr("cache.result_hits")
+        record_served(metrics, stored.served_by, stored.deadline_exceeded, elapsed_ms)
+        return replace(
+            stored,
+            request_id=request.request_id,
+            plan=dict(stored.plan),
+            cache_hit=True,
+            elapsed_ms=elapsed_ms,
+        )
+
+    def _remember(
+        self, request: OptimizationRequest, key: str, result: OptimizationResult
+    ) -> OptimizationResult:
+        """Store ``result`` under ``key`` if the service would cache it."""
+        if request.deadline_ms > 0 and result.status == "ok" and not result.deadline_exceeded:
+            with self._lock:
+                self._results.put(key, replace(result, plan=dict(result.plan)))
+        return result
+
+    def _rejected(self, request: OptimizationRequest, reason: str) -> OptimizationResult:
+        self.scheduler_metrics.incr("requests_total")
+        self.scheduler_metrics.incr("requests_rejected")
+        return OptimizationResult(
+            request_id=request.request_id,
+            kind=request.kind,
+            status="rejected",
+            reject_reason=reason,
+        )
+
     def _scheduler_section(self) -> Dict:
-        counters = self.scheduler_metrics.snapshot()["counters"]
-        hits = counters.get("coalesce.hits", 0)
-        misses = counters.get("coalesce.misses", 0)
+        hits = self.scheduler_metrics.counter("coalesce.hits")
+        misses = self.scheduler_metrics.counter("coalesce.misses")
         lookups = hits + misses
         with self._lock:
             in_flight = self._in_flight
+            result_cache = {
+                "size": len(self._results.entries),
+                "capacity": self._results.capacity,
+                "hits": self._results.hits,
+            }
         return {
             "backend": self.backend,
             "workers": self.workers,
@@ -372,48 +433,26 @@ class SchedulerBase:
                 "misses": misses,
                 "hit_rate": (hits / lookups) if lookups else 0.0,
             },
+            "result_cache": result_cache,
         }
 
-    # -- backend hooks -------------------------------------------------
-    def _cached_result(
-        self, request: OptimizationRequest, key: str, start: float
-    ) -> Optional[OptimizationResult]:
-        """A finished answer for ``key`` served without dispatch, or ``None``.
 
-        Called under the scheduler lock before coalescing and admission;
-        ``start`` is the ``perf_counter`` reading taken on entry to
-        :meth:`submit`.  Backends whose solves already consult an
-        in-process result cache keep this default.
-        """
-        return None
-
-    def _dispatch(
-        self, request: OptimizationRequest, key: Optional[str]
-    ) -> "Future[OptimizationResult]":
-        raise NotImplementedError
-
-    def _rejected(self, request: OptimizationRequest, reason: str) -> OptimizationResult:
-        raise NotImplementedError
-
-    def _coalesce_key(self, request: OptimizationRequest) -> str:
-        raise NotImplementedError
-
-
-def _follow(
-    primary: "Future[OptimizationResult]", request_id: str
+def _chain(
+    source: "Future[OptimizationResult]",
+    convert: Callable[[OptimizationResult], OptimizationResult],
 ) -> "Future[OptimizationResult]":
-    """A future resolving to the primary's result under another id."""
-    follower: "Future[OptimizationResult]" = Future()
+    """A future resolving to ``convert(result)`` once ``source`` resolves."""
+    target: "Future[OptimizationResult]" = Future()
 
     def _copy(done: "Future[OptimizationResult]") -> None:
         exc = done.exception()
         if exc is not None:
-            follower.set_exception(exc)
+            target.set_exception(exc)
         else:
-            follower.set_result(done.result().with_request_id(request_id))
+            target.set_result(convert(done.result()))
 
-    primary.add_done_callback(_copy)
-    return follower
+    source.add_done_callback(_copy)
+    return target
 
 
 class BatchScheduler(SchedulerBase):
@@ -423,7 +462,10 @@ class BatchScheduler(SchedulerBase):
     cache-dominated traffic, but solver-bound workloads serialize on
     the GIL — use :class:`repro.server.ProcessPoolScheduler` to scale
     with cores.  Worker count resolves through the harness convention
-    (explicit argument, then ``REPRO_BENCH_WORKERS``, then 1).
+    (explicit argument, then ``REPRO_BENCH_WORKERS``, then 1).  The
+    scheduler counts into the service's :class:`Metrics`, so result
+    cache hits and rejections show in ``service.stats()``; the result
+    cache holds as many entries as the service's.
     """
 
     backend = "thread"
@@ -435,7 +477,14 @@ class BatchScheduler(SchedulerBase):
         queue_limit: Optional[int] = None,
         coalesce: bool = True,
     ) -> None:
-        super().__init__(workers=workers, queue_limit=queue_limit, coalesce=coalesce)
+        super().__init__(
+            (service.seed, service.policy, service.routing is not None),
+            service.cache.stats()["results"]["capacity"],
+            workers=workers,
+            queue_limit=queue_limit,
+            coalesce=coalesce,
+            metrics=service.metrics,
+        )
         self.service = service
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-service"
@@ -448,21 +497,10 @@ class BatchScheduler(SchedulerBase):
         return stats
 
     def shutdown(self) -> None:
+        with self._lock:
+            self._closed = True
         self._pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, request: OptimizationRequest, key: Optional[str]
-    ) -> "Future[OptimizationResult]":
+    def _dispatch(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
         return self._pool.submit(self.service.optimize, request)
-
-    def _rejected(self, request: OptimizationRequest, reason: str) -> OptimizationResult:
-        return self.service.reject(request, reason)
-
-    def _coalesce_key(self, request: OptimizationRequest) -> str:
-        return coalesce_key(
-            request,
-            self.service.seed,
-            self.service.policy,
-            routed=self.service.routing is not None,
-        )

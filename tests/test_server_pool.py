@@ -12,6 +12,7 @@ workload.
 import json
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -167,28 +168,35 @@ def mqo_request(request_id, seed, deadline_ms=500.0, size=(3, 2)):
     )
 
 
-def one_worker_pool(**config):
-    return ProcessPoolScheduler(
-        config=ServiceConfig(seed=WORKLOAD_SEED, **config), workers=1, warmup=[]
-    )
-
-
 def served(scheduler, request):
     return scheduler.submit(request).result(timeout=120.0)
 
 
-class TestParentResultCache:
-    """Repeats of a finished request are answered without IPC.
+class ResultCacheContract:
+    """Repeats of a finished request are answered by the scheduler.
 
-    The parent stores exactly what a worker's own result cache would
-    (``ok``, untruncated, positive deadline) under the coalesce key,
-    and a hit must be indistinguishable from a worker-side hit apart
-    from ``request_id`` and ``elapsed_ms``.
+    Shared by both backends (each ``Test*`` subclass pins ``backend``).
+    The scheduler stores exactly what the service's own result cache
+    would (``ok``, untruncated, positive deadline) under the coalesce
+    key, and a hit must be indistinguishable from a service-side hit
+    apart from ``request_id`` and ``elapsed_ms``.
     """
+
+    backend = ""
+
+    def scheduler(self, config=None, workers=1, **kwargs):
+        config = config if config is not None else ServiceConfig(seed=WORKLOAD_SEED)
+        return make_scheduler(
+            self.backend, config=config, workers=workers, warmup=[], **kwargs
+        )
+
+    def service_ok(self, stats):
+        """``requests_ok`` counted inside each service (not the scheduler)."""
+        raise NotImplementedError
 
     def test_repeat_after_completion_served_by_parent(self):
         request = mqo_request("repeat", seed=401)
-        with one_worker_pool() as scheduler:
+        with self.scheduler() as scheduler:
             first = served(scheduler, request)
             again = served(scheduler, request)
             stats = scheduler.stats()
@@ -200,7 +208,7 @@ class TestParentResultCache:
             "capacity": ServiceConfig().result_capacity,
             "hits": 1,
         }
-        # the parent hit is counted like a worker hit, the miss only once
+        # the scheduler hit is counted like a service hit, the miss only once
         counters = stats["counters"]
         assert counters["cache.result_hits"] == 1
         assert counters["cache.result_misses"] == 1
@@ -208,14 +216,14 @@ class TestParentResultCache:
         assert counters["requests_kind.mqo"] == 2
         assert counters[f"served_by.{first.served_by}"] == 2
         assert stats["histograms"]["latency_ms"]["count"] == 2
-        assert [w["requests_ok"] for w in stats["scheduler"]["per_worker"]] == [1]
+        assert self.service_ok(stats) == [1]
 
     def test_parent_hit_matches_worker_hit_field_for_field(self):
-        # the worker's result key ignores the deadline but the coalesce
-        # key does not: a new deadline misses the parent and hits the
-        # worker, the original deadline then hits the parent
+        # the service's result key ignores the deadline but the coalesce
+        # key does not: a new deadline misses the scheduler and hits the
+        # service, the original deadline then hits the scheduler
         request = mqo_request("fields", seed=402)
-        with one_worker_pool() as scheduler:
+        with self.scheduler() as scheduler:
             served(scheduler, request)
             worker_hit = served(scheduler, replace(request, deadline_ms=600.0))
             parent_hit = served(scheduler, request)
@@ -228,7 +236,7 @@ class TestParentResultCache:
 
     def test_hit_gets_its_own_plan_copy(self):
         request = mqo_request("copy", seed=403)
-        with one_worker_pool() as scheduler:
+        with self.scheduler() as scheduler:
             first = served(scheduler, request)
             first.plan.clear()
             again = served(scheduler, request.with_id("copy-2"))
@@ -238,24 +246,19 @@ class TestParentResultCache:
 
     def test_deadline_truncated_result_not_stored(self):
         request = mqo_request("truncated", seed=404, deadline_ms=0.01, size=(12, 4))
-        with one_worker_pool() as scheduler:
+        with self.scheduler() as scheduler:
             first = served(scheduler, request)
             again = served(scheduler, request)
             section = scheduler.stats()["scheduler"]["result_cache"]
         assert first.deadline_exceeded
-        assert not again.cache_hit  # reached a worker, which re-solved
+        assert not again.cache_hit  # reached the service, which re-solved
         assert section["size"] == 0 and section["hits"] == 0
 
     def test_rejected_result_not_stored(self):
         # a generous deadline keeps the slow solve untruncated (stored)
         slow = mqo_request("slow", seed=405, deadline_ms=60_000.0, size=(10, 4))
         bounced = mqo_request("bounced", seed=406)
-        with ProcessPoolScheduler(
-            config=ServiceConfig(seed=WORKLOAD_SEED),
-            workers=1,
-            queue_limit=1,
-            warmup=[],
-        ) as scheduler:
+        with self.scheduler(queue_limit=1) as scheduler:
             in_flight = scheduler.submit(slow)
             rejected = served(scheduler, bounced)
             in_flight.result(timeout=120.0)
@@ -267,47 +270,27 @@ class TestParentResultCache:
 
     def test_cached_repeat_after_shutdown_raises(self):
         request = mqo_request("closed", seed=408)
-        scheduler = one_worker_pool()
+        scheduler = self.scheduler()
         served(scheduler, request)
         scheduler.shutdown()
         with pytest.raises(ConfigurationError, match="shut down"):
             scheduler.submit(request)
 
-    def test_errored_result_not_stored(self):
-        from repro.sql import SqlQuery, tpch_catalog
-
-        broken = OptimizationRequest(
-            request_id="broken",
-            kind="sql",
-            problem=SqlQuery(sql="SELECT * FROM nope", catalog=tpch_catalog()),
-            deadline_ms=500.0,
-        )
-        with one_worker_pool() as scheduler:
-            for _ in range(2):
-                with pytest.raises(SolverError):
-                    served(scheduler, broken)
-            section = scheduler.stats()["scheduler"]["result_cache"]
-        assert section["size"] == 0 and section["hits"] == 0
-
     def test_coalesce_false_bypasses_cache(self):
         request = mqo_request("bypass", seed=407)
-        with ProcessPoolScheduler(
-            config=ServiceConfig(seed=WORKLOAD_SEED),
-            workers=1,
-            coalesce=False,
-            warmup=[],
-        ) as scheduler:
+        with self.scheduler(coalesce=False) as scheduler:
             served(scheduler, request)
             again = served(scheduler, request)
             stats = scheduler.stats()
-        assert again.cache_hit  # the worker's own cache answered
+        assert again.cache_hit  # the service's own cache answered
         assert stats["scheduler"]["result_cache"]["size"] == 0
         assert stats["scheduler"]["result_cache"]["hits"] == 0
-        assert stats["scheduler"]["per_worker"][0]["requests_ok"] == 2
+        assert self.service_ok(stats) == [2]
 
     def test_capacity_is_result_capacity_with_lru_eviction(self):
         a, b, c = (mqo_request(name, seed=410 + i) for i, name in enumerate("abc"))
-        with one_worker_pool(result_capacity=2) as scheduler:
+        config = ServiceConfig(seed=WORKLOAD_SEED, result_capacity=2)
+        with self.scheduler(config) as scheduler:
             for request in (a, b, a, c):  # a refreshed, so c evicts b
                 served(scheduler, request)
             a_again = served(scheduler, a)
@@ -319,21 +302,19 @@ class TestParentResultCache:
             "capacity": 2,
             "hits": 2,
         }
-        # a, b, c and the evicted b's repeat all reached the worker
-        assert stats["scheduler"]["per_worker"][0]["requests_ok"] == 4
+        # a, b, c and the evicted b's repeat all reached the service
+        assert self.service_ok(stats) == [4]
 
     def test_concurrent_repeats_keep_counts_exact(self):
-        # client threads race the collector's stores and each other's
-        # lookups; a lost update would break the counter identities
+        # client threads race the stores and each other's lookups; a
+        # lost update would break the counter identities
         problems = [mqo_request(f"p{index}", seed=430 + index) for index in range(4)]
         results = []
         lock = threading.Lock()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ProcessPoolScheduler(
-                config=ServiceConfig(seed=WORKLOAD_SEED), workers=2, warmup=[]
-            ) as scheduler:
+            with self.scheduler(workers=2) as scheduler:
 
                 def client(index):
                     for step in range(25):
@@ -362,16 +343,40 @@ class TestParentResultCache:
         section = stats["scheduler"]
         served_ok = stats["counters"]["requests_ok"]
         parent_hits = section["result_cache"]["hits"]
-        worker_ok = sum(entry["requests_ok"] for entry in section["per_worker"])
+        worker_ok = sum(self.service_ok(stats))
         assert parent_hits > 0
         assert worker_ok + parent_hits == served_ok
         assert served_ok + section["coalesce"]["hits"] == len(results)
         assert section["result_cache"]["size"] == len(problems)
 
+class TestParentResultCache(ResultCacheContract):
+    """The process pool answers repeats in the parent, without IPC."""
+
+    backend = "process"
+
+    def service_ok(self, stats):
+        return [worker["requests_ok"] for worker in stats["scheduler"]["per_worker"]]
+
+    def test_errored_result_not_stored(self):
+        from repro.sql import SqlQuery, tpch_catalog
+
+        broken = OptimizationRequest(
+            request_id="broken",
+            kind="sql",
+            problem=SqlQuery(sql="SELECT * FROM nope", catalog=tpch_catalog()),
+            deadline_ms=500.0,
+        )
+        with self.scheduler() as scheduler:
+            for _ in range(2):
+                with pytest.raises(SolverError):
+                    served(scheduler, broken)
+            section = scheduler.stats()["scheduler"]["result_cache"]
+        assert section["size"] == 0 and section["hits"] == 0
+
     def test_routed_pool_keeps_routed_key_namespace(self):
         request = mqo_request("routed", seed=420)
         config = ServiceConfig(seed=WORKLOAD_SEED, routing=True)
-        with ProcessPoolScheduler(config=config, workers=1, warmup=[]) as scheduler:
+        with self.scheduler(config) as scheduler:
             first = served(scheduler, request)
             again = served(scheduler, request)
             keys = list(scheduler._results.entries)
@@ -382,6 +387,45 @@ class TestParentResultCache:
         ]
         assert "|routed|" in keys[0]
         assert again.cache_hit and signature(again) == signature(first)
+
+
+class TestThreadResultCache(ResultCacheContract):
+    """The thread backend answers repeats without a pool thread."""
+
+    backend = "thread"
+
+    def service_ok(self, stats):
+        counters = stats["counters"]
+        return [counters["requests_ok"] - stats["scheduler"]["result_cache"]["hits"]]
+
+    def test_repeat_right_after_result_skips_make_adapter(self, monkeypatch):
+        # the answer is stored before the client's future resolves, so a
+        # repeat sent the moment .result() returns never rebuilds the
+        # adapter.  A slowed store widens the window a store-after-resolve
+        # race would need; many rounds give it its chance.
+        from repro.service import core
+
+        calls = []
+        build = core.make_adapter
+        remember = core.SchedulerBase._remember
+
+        def counting(kind, problem):
+            calls.append(kind)
+            return build(kind, problem)
+
+        def slow_remember(self, *args):
+            time.sleep(0.002)
+            return remember(self, *args)
+
+        monkeypatch.setattr(core, "make_adapter", counting)
+        monkeypatch.setattr(core.SchedulerBase, "_remember", slow_remember)
+        with self.scheduler() as scheduler:
+            for index in range(50):
+                request = mqo_request(f"race-{index}", seed=500 + index, size=(2, 2))
+                assert not served(scheduler, request).cache_hit
+                before = len(calls)
+                again = served(scheduler, request.with_id(f"again-{index}"))
+                assert again.cache_hit and len(calls) == before, index
 
 
 class TestAdmissionControl:

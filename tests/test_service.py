@@ -1,7 +1,11 @@
 """Tests for the deadline-aware optimization service."""
 
 import hashlib
+import importlib
 import json
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -329,6 +333,40 @@ class TestScheduler:
 # ----------------------------------------------------------------------
 # Metrics primitives
 # ----------------------------------------------------------------------
+class TestServingImports:
+    """Serving loads neither networkx nor scipy.optimize.
+
+    Both back only the paper-study half of ``repro.annealing`` /
+    ``repro.joinorder`` (embedding, topologies, the MILP pipeline,
+    IKKBZ), which those packages export lazily.
+    """
+
+    def test_warm_scheduler_loads_no_heavy_library(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from repro.server import ServiceConfig, make_scheduler
+
+            # warm-up serves one request of every kind
+            make_scheduler("thread", config=ServiceConfig(seed=0), workers=1).shutdown()
+            print([n for n in ("networkx", "scipy.optimize") if n in sys.modules])
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("package", ["repro.annealing", "repro.joinorder"])
+    def test_every_export_resolves(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
+        with pytest.raises(AttributeError):
+            module.no_such_export
+
+
 class TestMetrics:
     def test_percentile_nearest_rank(self):
         values = [float(v) for v in range(1, 101)]
