@@ -13,11 +13,23 @@ Measures the two layers the compiled representation accelerates:
 * **energies** — bulk energy evaluation of a sample batch:
   ``BinaryQuadraticModel.energy`` in a loop vs
   ``CompiledBQM.energies`` in one vectorized pass.
+* **tabu** — wall time of one ``TabuSampler.sample`` call (the
+  sampler's default tenure and stopping rules) per model size and read
+  count, as median and quartiles over repeats.  Models up to 49
+  variables have the interaction density of the join-order and MQO
+  models the hybrid stage serves (~0.45); larger ones are sparser.
+  ``best_energy`` is recorded so two trees' tables can be checked for
+  identical results.
 
 Results go to ``BENCH_kernels.json`` at the repository root so
 successive PRs can track kernel throughput.  ``--smoke`` runs a tiny
 instance as a CI health check (seconds, not minutes) and still asserts
-the compiled path wins.
+the compiled path wins; its one tabu point has no timing gate.  A smoke
+run writes a report only when ``--output`` is given.
+
+The repository's ``src`` goes at the *end* of ``sys.path``, so a
+``PYTHONPATH`` names the tree under test: run the same script with
+``PYTHONPATH=<other tree>/src`` to time another commit's kernels.
 
 Usage::
 
@@ -35,16 +47,25 @@ import time
 import numpy as np
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.append(str(REPO_ROOT / "src"))
 
-from provenance import write_report  # noqa: E402
+from provenance import report_path, write_report  # noqa: E402
 
+from repro.hybrid.tabu import TabuSampler  # noqa: E402
 from repro.qubo.bqm import BinaryQuadraticModel, Vartype  # noqa: E402
 from repro.qubo.compiled import compile_bqm  # noqa: E402
 
 #: (num_variables, interaction density) grid of the full benchmark
 FULL_GRID = ((32, 0.5), (64, 0.25), (128, 0.1), (128, 0.5), (256, 0.05))
 SMOKE_GRID = ((24, 0.4),)
+#: (num_variables, interaction density) of the tabu points, each timed
+#: at every read count of TABU_READS
+TABU_GRID = ((16, 0.5), (32, 0.5), (49, 0.45), (128, 0.1), (256, 0.05), (512, 0.02))
+TABU_READS = (2, 10)
+#: timed TabuSampler.sample calls per tabu point (median and quartiles)
+TABU_REPEATS = 5
+SMOKE_TABU_GRID = ((16, 0.5),)
+SMOKE_TABU_READS = (2,)
 
 
 def random_spin_bqm(n: int, density: float, seed: int) -> BinaryQuadraticModel:
@@ -175,6 +196,29 @@ def bench_point(
     }
 
 
+def bench_tabu(n: int, density: float, num_reads: int, repeats: int, seed: int) -> dict:
+    bqm = random_spin_bqm(n, density, seed)
+    compiled = compile_bqm(bqm)
+    sampler = TabuSampler(seed=seed)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = sampler.sample(bqm, num_reads=num_reads, compiled=compiled)
+        times.append(time.perf_counter() - start)
+    q1, median, q3 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
+    return {
+        "num_variables": n,
+        "density": density,
+        "num_interactions": compiled.num_interactions,
+        "num_reads": num_reads,
+        "repeats": repeats,
+        "ms_p50": round(float(median), 3),
+        "ms_q1": round(float(q1), 3),
+        "ms_q3": round(float(q3), 3),
+        "best_energy": float(result.first.energy),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -185,8 +229,9 @@ def main(argv=None) -> int:
     parser.add_argument("--reads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
-        "--output", default=str(REPO_ROOT / "BENCH_kernels.json"),
-        help="where to write the JSON report (full runs only)",
+        "--output", default=None,
+        help="where to write the JSON report (default: BENCH_kernels.json "
+        "for full runs; a smoke run writes only when this is given)",
     )
     args = parser.parse_args(argv)
 
@@ -206,19 +251,38 @@ def main(argv=None) -> int:
             f"{point['energy_speedup']:.1f}x"
         )
 
+    tabu_grid = SMOKE_TABU_GRID if args.smoke else TABU_GRID
+    tabu_reads = SMOKE_TABU_READS if args.smoke else TABU_READS
+    tabu_repeats = 1 if args.smoke else TABU_REPEATS
+    tabu = []
+    for n, density in tabu_grid:
+        for reads in tabu_reads:
+            point = bench_tabu(n, density, reads, tabu_repeats, args.seed)
+            tabu.append(point)
+            print(
+                f"tabu n={n} density={density:g} reads={reads}: "
+                f"{point['ms_p50']:.2f} ms "
+                f"(IQR {point['ms_q1']:.2f}-{point['ms_q3']:.2f})"
+            )
+
     if args.smoke:
         slow = [p for p in points if p["sweep_speedup"] < 1.0]
         if slow:
             print("FAIL: compiled kernel slower than the dict loop", file=sys.stderr)
             return 1
         print("smoke ok: compiled kernel faster on every point")
-        return 0
 
     write_report(
-        args.output,
+        report_path(args.output, args.smoke, "BENCH_kernels.json"),
         "kernels",
-        {"num_sweeps": num_sweeps, "num_reads": num_reads, "seed": args.seed},
-        {"points": points},
+        {
+            "num_sweeps": num_sweeps,
+            "num_reads": num_reads,
+            "seed": args.seed,
+            "tabu_repeats": tabu_repeats,
+            "smoke": args.smoke,
+        },
+        {"points": points, "tabu": tabu},
     )
     return 0
 

@@ -21,7 +21,8 @@ latencies are wall-clock measurements, so smoke runs only assert
 structural health (all requests answered, no errors, no invalid
 plans), not numbers.
 
-Writes ``BENCH_replay.json`` at the repository root.
+Writes ``BENCH_replay.json`` at the repository root (a smoke run writes
+only to an explicit ``--output``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from provenance import write_report  # noqa: E402
+from provenance import report_path, write_report  # noqa: E402
 
 from repro.replay import replay_stream, run_replay  # noqa: E402
 from repro.server import ServiceConfig, make_scheduler  # noqa: E402
@@ -101,8 +102,9 @@ def main(argv=None) -> int:
         help="tiny stream for CI: 10^3 requests, 64 unique templates",
     )
     parser.add_argument(
-        "--output", default=str(REPO_ROOT / "BENCH_replay.json"),
-        help="where to write the JSON report",
+        "--output", default=None,
+        help="where to write the JSON report (default: BENCH_replay.json for full "
+        "runs; a smoke run writes only when this is given)",
     )
     args = parser.parse_args(argv)
 
@@ -130,7 +132,8 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "smoke": args.smoke,
     }
-    write_report(args.output, "replay", config, {"backends": runs})
+    path = report_path(args.output, args.smoke, "BENCH_replay.json")
+    write_report(path, "replay", config, {"backends": runs})
     healthy = all(
         run["errors"] == 0 and run["invalid"] == 0 and run["ok"] > 0
         and run["requests"] == requests

@@ -23,7 +23,8 @@ Usage::
 
 ``--smoke`` runs the first seed only, with two deadlines and a handful
 of requests, for CI; it asserts structural health (rows present,
-ratios finite), not exact numbers.
+ratios finite), not exact numbers, and writes its report only when
+``--output`` is given.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from provenance import write_report  # noqa: E402
+from provenance import report_path, write_report  # noqa: E402
 
 from repro.experiments.routed_vs_static import run_routed_vs_static  # noqa: E402
 
@@ -67,8 +68,9 @@ def main(argv=None) -> int:
         help="tiny sweep for CI: 1 seed, 2 deadlines, 8 requests",
     )
     parser.add_argument(
-        "--output", default=str(REPO_ROOT / "BENCH_routing.json"),
-        help="where to write the JSON report",
+        "--output", default=None,
+        help="where to write the JSON report (default: BENCH_routing.json for full "
+        "runs; a smoke run writes only when this is given)",
     )
     args = parser.parse_args(argv)
 
@@ -134,7 +136,8 @@ def main(argv=None) -> int:
         "seeds": list(seeds),
         "smoke": args.smoke,
     }
-    write_report(args.output, "routing", config, {"rows": rows, "summary": summary})
+    path = report_path(args.output, args.smoke, "BENCH_routing.json")
+    write_report(path, "routing", config, {"rows": rows, "summary": summary})
     if args.smoke:
         # structural health only: rows present and quality ratio finite
         return 0 if rows and ratios else 1

@@ -20,7 +20,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sql.py --smoke
 
 ``--smoke`` shrinks the workload for CI: a handful of queries, one
-repeat, still producing the full report shape.
+repeat, still producing the full report shape.  A smoke run writes its
+report only when ``--output`` is given.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from provenance import write_report  # noqa: E402
+from provenance import report_path, write_report  # noqa: E402
 
 from repro.service import OptimizationRequest, OptimizationService  # noqa: E402
 from repro.sql import (  # noqa: E402
@@ -128,8 +129,9 @@ def main(argv=None) -> int:
         help="CI mode: 4 queries, 1 repeat, same report shape",
     )
     parser.add_argument(
-        "--output", default=str(REPO_ROOT / "BENCH_sql.json"),
-        help="where to write the JSON report",
+        "--output", default=None,
+        help="where to write the JSON report (default: BENCH_sql.json for full "
+        "runs; a smoke run writes only when this is given)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -150,7 +152,8 @@ def main(argv=None) -> int:
         "deadline_ms": args.deadline_ms,
         "smoke": args.smoke,
     }
-    write_report(args.output, "sql", config, body)
+    path = report_path(args.output, args.smoke, "BENCH_sql.json")
+    write_report(path, "sql", config, body)
     return 0 if body["valid_plans"] == body["queries"] else 1
 
 

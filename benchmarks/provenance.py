@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-__all__ = ["provenance_block", "write_report"]
+__all__ = ["provenance_block", "report_path", "write_report"]
 
 
 def _git_commit() -> Optional[str]:
@@ -52,10 +52,24 @@ def provenance_block() -> Dict[str, object]:
     }
 
 
+def report_path(output: Optional[str], smoke: bool, name: str) -> Optional[pathlib.Path]:
+    """Where a run writes its report: ``--output`` when given, else the
+    committed ``name`` at the repository root for a full run.  A smoke
+    run without ``--output`` gets ``None`` and writes nothing, so CI and
+    local smokes never overwrite the full-run artifact."""
+    if output:
+        return pathlib.Path(output)
+    return None if smoke else REPO_ROOT / name
+
+
 def write_report(
     path, benchmark: str, config: Dict[str, Any], body: Dict[str, Any]
 ) -> None:
-    """Write ``{"benchmark", "config", "provenance", **body}`` to ``path``."""
+    """Write ``{"benchmark", "config", "provenance", **body}`` to ``path``
+    (nothing when ``path`` is ``None``, see :func:`report_path`)."""
+    if path is None:
+        print("smoke run: no report written (pass --output to keep one)")
+        return
     report = {
         "benchmark": benchmark,
         "config": config,

@@ -6,7 +6,7 @@ what every solver used to iterate in its inner loop — a hash lookup and
 a Python-level multiply per term, per read, per sweep.  This module
 separates the two roles: models are still *built* as dict BQMs, then
 :func:`compile_bqm` lowers them once into flat numpy arrays that the
-batched solver kernels (:mod:`repro.annealing.simulated_annealing`,
+solver kernels (:mod:`repro.annealing.simulated_annealing`,
 :mod:`repro.hybrid.tabu`) and the service's compilation cache consume.
 
 A :class:`CompiledBQM` holds

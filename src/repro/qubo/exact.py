@@ -9,6 +9,7 @@ assignments at once and is practical up to roughly 22 variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
@@ -17,6 +18,26 @@ from repro.exceptions import SolverError
 from repro.qubo.bqm import BinaryQuadraticModel, Vartype
 
 _MAX_EXACT_VARIABLES = 26
+_ENERGY_SUBSCRIPTS = "ij,jk,ik->i"
+
+
+@lru_cache(maxsize=None)
+def _contraction_path(rows: int, n: int) -> tuple:
+    """``np.einsum_path``'s choice for a ``(rows, n)`` chunk, planned once
+    per shape instead of on every call (the plan depends only on shapes;
+    zero-stride operands keep planning allocation-free).  At most one
+    entry per ``n`` up to the enumeration limit, since chunks are
+    ``min(2**n, 2**18)`` rows."""
+    bits = np.broadcast_to(0.0, (rows, n))
+    q = np.broadcast_to(0.0, (n, n))
+    return tuple(np.einsum_path(_ENERGY_SUBSCRIPTS, bits, q, bits, optimize=True)[0])
+
+
+def _assignment_energies(bits: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``x^T Q x`` for every row ``x`` of ``bits``, bit-identical to
+    ``np.einsum(..., optimize=True)``."""
+    path = _contraction_path(*bits.shape)
+    return np.einsum(_ENERGY_SUBSCRIPTS, bits, q, bits, optimize=path)
 
 
 @dataclass(frozen=True)
@@ -61,8 +82,7 @@ def brute_force_minimum(bqm: BinaryQuadraticModel) -> ExactResult:
     for start in range(0, count, chunk):
         indices = np.arange(start, min(start + chunk, count), dtype=np.uint32)
         bits = ((indices[:, None] >> shifts) & 1).astype(np.float64)
-        # x^T Q x for all rows at once
-        energies = np.einsum("ij,jk,ik->i", bits, q, bits, optimize=True) + offset
+        energies = _assignment_energies(bits, q) + offset
         chunk_best = float(energies.min())
         if chunk_best < best - 1e-9:
             best = chunk_best

@@ -16,6 +16,7 @@ generator walks them to produce well-formed join queries.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -57,13 +58,21 @@ def _scaled(base: float, scale: float) -> float:
 
 
 def tpch_catalog(scale: float = 0.01) -> Catalog:
-    """Build the TPC-H-like catalog at scale factor ``scale``.
+    """The TPC-H-like catalog at scale factor ``scale``.
 
     The default ``scale=0.01`` keeps ``lineitem`` at 60k rows — large
     enough for meaningful cost spreads, small enough for fast tests.
+    A :class:`Catalog` is immutable, so one instance per scale is
+    built and shared: a replay stream's SQL requests all point at it
+    instead of each holding its own ~6 KB copy.
     """
     if not isinstance(scale, (int, float)) or not scale > 0:
         raise ConfigurationError(f"scale must be a positive number, got {scale!r}")
+    return _build_tpch_catalog(float(scale))
+
+
+@lru_cache(maxsize=8)
+def _build_tpch_catalog(scale: float) -> Catalog:
     suppliers = _scaled(10_000, scale)
     customers = _scaled(150_000, scale)
     parts = _scaled(200_000, scale)

@@ -3,6 +3,7 @@ decomposition primitives, the unified solver registry, the qbsolv-style
 DecomposingSolver (including the 50-query acceptance instance), and the
 hybrid_scaling experiment through the harness."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
@@ -29,6 +30,7 @@ from repro.mqo.generator import random_mqo_problem
 from repro.mqo.qubo import MqoQuboBuilder
 from repro.mqo.solvers import solve_genetic
 from repro.qubo import BinaryQuadraticModel, Vartype, brute_force_minimum
+from repro.qubo.compiled import compile_bqm
 
 
 def _small_bqm():
@@ -110,6 +112,124 @@ class TestTabuSampler:
         bqm = BinaryQuadraticModel({}, {}, offset=1.5)
         ss = TabuSampler().sample(bqm, num_reads=1)
         assert ss.first.energy == pytest.approx(1.5)
+
+
+def _batched_search(starts, spin, tenure, max_iter, stall_limit):
+    """Batched numpy tabu search, the bit-identity reference for
+    ``TabuSampler._search``: all reads advance together as
+    ``(num_reads, n)`` array operations."""
+    num_reads, n = starts.shape
+    neighbors = spin.neighbor_index
+    couplings = spin.neighbor_bias
+
+    spins = starts.copy()
+    fields = np.broadcast_to(spin.linear, (num_reads, n)).copy()
+    for r in range(num_reads):
+        row = spins[r]
+        frow = fields[r]
+        for i in range(n):
+            if len(neighbors[i]):
+                frow[i] += row[neighbors[i]] @ couplings[i]
+
+    energies = spin.energies_compat(spins)
+    best_spins, best_energies = spins.copy(), energies.copy()
+    tabu_until = np.full((num_reads, n), -1, dtype=np.int64)
+    stall = np.zeros(num_reads, dtype=np.int64)
+    active = np.ones(num_reads, dtype=bool)
+
+    for iteration in range(max_iter):
+        deltas = -2.0 * spins * fields
+        allowed = tabu_until < iteration
+        allowed |= (energies[:, None] + deltas) < best_energies[:, None] - 1e-12
+        stuck = ~allowed.any(axis=1)
+        if stuck.any():
+            allowed[stuck] = True
+        masked = np.where(allowed, deltas, np.inf)
+        moves = np.argmin(masked, axis=1)
+
+        for r in np.flatnonzero(active):
+            i = moves[r]
+            spins[r, i] *= -1.0
+            energies[r] += deltas[r, i]
+            if len(neighbors[i]):
+                fields[r, neighbors[i]] += 2.0 * spins[r, i] * couplings[i]
+            tabu_until[r, i] = iteration + tenure
+
+            if energies[r] < best_energies[r] - 1e-12:
+                best_energies[r] = energies[r]
+                best_spins[r] = spins[r]
+                stall[r] = 0
+            else:
+                stall[r] += 1
+                if stall[r] >= stall_limit:
+                    active[r] = False
+        if not active.any():
+            break
+    return best_spins, best_energies
+
+
+def _random_model(n, kind, seed, vartype=Vartype.SPIN):
+    """``sparse``: ~3 couplers per variable; ``dense``: 90% of pairs;
+    ``integer``: small integer biases, so many deltas tie or are ±0.0."""
+    rng = np.random.default_rng(seed)
+    integer = kind == "integer"
+    density = {"sparse": min(1.0, 3.0 / max(n - 1, 1)), "dense": 0.9, "integer": 0.5}[kind]
+
+    def bias():
+        return float(rng.integers(-2, 3)) if integer else float(rng.uniform(-1, 1))
+
+    bqm = BinaryQuadraticModel({f"v{i}": bias() for i in range(n)}, vartype=vartype)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                bqm.add_quadratic(f"v{i}", f"v{j}", bias())
+    return bqm
+
+
+def _assert_bit_identical(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestTabuKernelBitIdentity:
+    """The per-read scalar kernel reproduces the batched one exactly:
+    best spins and best energies, compared as int64 bit patterns so a
+    signed zero or a last-ulp difference fails."""
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "integer"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 49, 64, 130])
+    def test_matches_batched_reference(self, n, kind):
+        spin = compile_bqm(_random_model(n, kind, seed=1000 * n + len(kind))).spin
+        rng = np.random.default_rng(n)
+        cases = [
+            (min(20, n // 4 + 1), max(500, 50 * n), max(100, 4 * n)),  # defaults
+            (n, 30 * n, 3 * n),  # tenure = n: the all-tabu fallback
+            (n + 3, 20 * n, 2 * n),  # tenure > n
+            (int(rng.integers(1, 4)), 200, 12),  # short runs, early retirement
+        ]
+        for tenure, max_iter, stall_limit in cases:
+            reads = int(rng.integers(1, 11))
+            starts = rng.choice((-1.0, 1.0), size=(reads, n))
+            got = TabuSampler._search(starts.copy(), spin, tenure, max_iter, stall_limit)
+            want = _batched_search(starts.copy(), spin, tenure, max_iter, stall_limit)
+            _assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize("tenure", [None, 2, 12])
+    def test_warm_started_samples_match(self, monkeypatch, tenure):
+        bqm = _random_model(12, "integer", seed=5, vartype=Vartype.BINARY)
+        warm = [
+            {v: (i + k) % 2 for i, v in enumerate(bqm.variables)} for k in range(3)
+        ]
+        sampler = TabuSampler(tenure=tenure, seed=3)
+        got = sampler.sample(bqm, num_reads=6, initial_states=warm)
+        monkeypatch.setattr(TabuSampler, "_search", staticmethod(_batched_search))
+        want = sampler.sample(bqm, num_reads=6, initial_states=warm)
+        assert [r.sample for r in got] == [r.sample for r in want]
+        assert [r.num_occurrences for r in got] == [r.num_occurrences for r in want]
+        assert np.array_equal(
+            got.energies().view(np.int64), want.energies().view(np.int64)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Tests for the brute-force QUBO solver."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
 from repro.qubo import BinaryQuadraticModel, Vartype, brute_force_minimum
-from repro.qubo.exact import ExactQuboSolver
+from repro.qubo.exact import ExactQuboSolver, _assignment_energies
 
 
 class TestBruteForce:
@@ -60,6 +61,20 @@ class TestBruteForce:
         result = brute_force_minimum(bqm)
         expected = sum(min(0.0, bqm.get_linear(n)) for n in names)
         assert result.energy == pytest.approx(expected)
+
+
+class TestContractionPath:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_energies_match_freshly_planned_einsum(self, n):
+        # the first enumeration chunk brute_force_minimum builds for n
+        rows = min(1 << n, 1 << 18)
+        indices = np.arange(rows, dtype=np.uint32)
+        shifts = np.arange(n, dtype=np.uint32)[None, :]
+        bits = ((indices[:, None] >> shifts) & 1).astype(np.float64)
+        q = np.triu(np.random.default_rng(n).normal(size=(n, n)))
+        want = np.einsum("ij,jk,ik->i", bits, q, bits, optimize=True)
+        got = _assignment_energies(bits, q)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSamplerInterface:

@@ -189,6 +189,14 @@ class TestCatalog:
         with pytest.raises(SqlSemanticError):
             catalog.table("no_such_table")
 
+    def test_tpch_catalog_shared_per_scale(self):
+        # immutable, so every SQL request of a replay stream shares one
+        assert tpch_catalog() is tpch_catalog(0.01)
+        assert tpch_catalog(scale=0.02) is not tpch_catalog()
+        assert tpch_catalog(scale=0.02).name == "tpch-sf0.02"
+        with pytest.raises(ConfigurationError):
+            tpch_catalog(scale=[1])
+
     def test_stats_validate(self):
         with pytest.raises(ProblemError):
             ColumnStats(name="x", distinct_values=0)
