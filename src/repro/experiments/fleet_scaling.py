@@ -84,7 +84,7 @@ def run_fleet_scaling(
     Every row compares an N-device fleet against a single device on the
     same instance with the same root seed; ``identical`` must be True
     everywhere (it is the fleet determinism contract, also pinned by
-    ``tests/test_fleet_solver.py``), and ``speedup`` shows what the
+    the fleet-size invariance tests), and ``speedup`` shows what the
     concurrent dispatch buys on the current host.
     """
     workers = resolve_workers(workers)

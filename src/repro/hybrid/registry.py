@@ -40,7 +40,6 @@ Registered names
 from __future__ import annotations
 
 import inspect
-import time
 import weakref
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
@@ -56,7 +55,13 @@ except ImportError:  # pragma: no cover
 
 from repro.exceptions import ConfigurationError, SolverError
 from repro.annealing.simulated_annealing import SimulatedAnnealingSampler
-from repro.hybrid.solver import DecomposingSolver, SolveResult, greedy_descent
+from repro.hybrid.solver import (
+    DecomposingSolver,
+    SolveResult,
+    budget_deadline,
+    budget_spent,
+    greedy_descent,
+)
 from repro.hybrid.tabu import TabuSampler
 from repro.qubo.bqm import BinaryQuadraticModel
 from repro.qubo.exact import brute_force_minimum
@@ -129,17 +134,6 @@ def _signature_parameters(func) -> Optional[Tuple[inspect.Parameter, ...]]:
     return parameters
 
 
-def _budget_deadline(time_budget: Optional[float]) -> Optional[float]:
-    """Monotonic-clock deadline for a cooperative time budget."""
-    if time_budget is None:
-        return None
-    return time.monotonic() + max(0.0, float(time_budget))
-
-
-def _budget_spent(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.monotonic() >= deadline
-
-
 def check_size(solver: "Solver", bqm: BinaryQuadraticModel) -> None:
     """Raise when a model exceeds a solver's variable budget."""
     limit = solver.max_variables
@@ -174,14 +168,14 @@ class GreedySolver:
     ) -> SolveResult:
         if bqm.num_variables == 0:
             return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
-        deadline = _budget_deadline(time_budget)
+        deadline = budget_deadline(time_budget)
         rng = np.random.default_rng(self.seed if seed is None else seed)
         lo, hi = bqm.vartype.values
         variables = list(bqm.variables)
         best_sample: Dict[Hashable, int] = {}
         best_energy = float("inf")
         for restart in range(self.restarts):
-            if restart > 0 and _budget_spent(deadline):
+            if restart > 0 and budget_spent(deadline):
                 break
             values = rng.choice((lo, hi), size=len(variables))
             sample = greedy_descent(
@@ -227,7 +221,7 @@ class GeneticSolver:
     ) -> SolveResult:
         if bqm.num_variables == 0:
             return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
-        deadline = _budget_deadline(time_budget)
+        deadline = budget_deadline(time_budget)
         rng = np.random.default_rng(self.seed if seed is None else seed)
         variables = list(bqm.variables)
         lo, hi = bqm.vartype.values
@@ -241,7 +235,7 @@ class GeneticSolver:
         population = rng.choice((lo, hi), size=(self.population_size, n))
         costs = np.array([energy_of(ind) for ind in population])
         for _ in range(self.generations):
-            if _budget_spent(deadline):
+            if budget_spent(deadline):
                 break
             children = []
             for _ in range(self.population_size):
@@ -293,7 +287,7 @@ class ExactSolver:
 
 
 class SamplerSolver:
-    """Adapter for Ocean-style ``sample(bqm, num_reads, seed)`` samplers."""
+    """Adapter for Ocean-style ``sample(bqm, num_reads, seed, compiled)`` samplers."""
 
     max_variables: Optional[int] = None
 
@@ -318,12 +312,9 @@ class SamplerSolver:
     ) -> SolveResult:
         if bqm.num_variables == 0:
             return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
-        extra = {}
-        if compiled is not None and accepts_keyword(self.sampler.sample, "compiled"):
-            extra["compiled"] = compiled
         if time_budget is None:
             sample_set = self.sampler.sample(
-                bqm, num_reads=self.num_reads, seed=seed, **extra
+                bqm, num_reads=self.num_reads, seed=seed, compiled=compiled
             )
             best = sample_set.first
             return SolveResult(
@@ -332,19 +323,19 @@ class SamplerSolver:
         # budgeted path: issue reads one at a time (per-read seeds drawn
         # up front so the k-reads-completed outcome is seed-deterministic)
         # and stop once the budget is spent; the first read always runs.
-        deadline = _budget_deadline(time_budget)
+        deadline = budget_deadline(time_budget)
         rng = np.random.default_rng(seed)
         read_seeds = [int(s) for s in rng.integers(0, 2**31, size=self.num_reads)]
         best = None
         reads_done = 0
         for read_seed in read_seeds:
             record = self.sampler.sample(
-                bqm, num_reads=1, seed=read_seed, **extra
+                bqm, num_reads=1, seed=read_seed, compiled=compiled
             ).first
             reads_done += 1
             if best is None or record.energy < best.energy - 1e-12:
                 best = record
-            if _budget_spent(deadline):
+            if budget_spent(deadline):
                 break
         return SolveResult(
             sample=dict(best.sample),

@@ -31,15 +31,17 @@ shuffles come from one ``default_rng`` stream and every ordering
 tie-breaks on ``str(var)``.
 
 **Fleet mode.**  Passing ``fleet=`` (an
-:class:`~repro.annealers.AnnealerFleet`) switches the solver to the
-multi-annealer scheduling mode of Trummer & Koch (arXiv 1510.06437):
-blocks are sized to device capacity, every block of a round is clamped
-against the *same* incumbent and dispatched concurrently across the
-fleet, and the merged assignment passes through a boundary
-reconciliation (:mod:`repro.hybrid.reconcile`) that re-optimizes
-frontier variables shared between shards before the round's result is
-accepted.  Block solve seeds derive from the (device spec, subproblem
-content) pair and orchestration seeds from the harness scheme, so
+:class:`~repro.annealers.AnnealerFleet`) runs the same restart and
+round loop in the multi-annealer scheduling mode of Trummer & Koch
+(arXiv 1510.06437).  Only three things change: blocks are capped at
+the fleet's guaranteed capacity, a model that fits one block is a
+single dispatch, and each round clamps all of its blocks against the
+*same* incumbent, anneals them concurrently across the fleet and
+passes the merged assignment through a boundary reconciliation
+(:mod:`repro.hybrid.reconcile`) that re-optimizes the frontier
+variables shared between shards.  Block solve seeds derive from the
+(device spec, subproblem content) pair, and the orchestration stream
+and per-round reconciliation seeds from the harness scheme, so
 fleet-mode results are bit-identical regardless of fleet size or
 dispatch order.
 """
@@ -72,6 +74,17 @@ _EXACT_HARD_LIMIT = 26  # brute_force_minimum's own ceiling
 _FLEET_SEED_SCOPE = "repro.hybrid.fleet"
 
 
+def budget_deadline(time_budget: Optional[float]) -> Optional[float]:
+    """Monotonic-clock deadline for a cooperative time budget."""
+    if time_budget is None:
+        return None
+    return time.monotonic() + max(0.0, float(time_budget))
+
+
+def budget_spent(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
 @dataclass
 class _BlockCaches:
     """Per-``solve`` reuse of work on content-identical subproblems.
@@ -87,6 +100,17 @@ class _BlockCaches:
     compiled: Dict[tuple, object] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
+
+    def lookup(self, table: Dict[tuple, object], sub: BinaryQuadraticModel, build):
+        """``table``'s entry for ``sub``, made by ``build(sub)`` on a miss."""
+        key = _subproblem_key(sub)
+        value = table.get(key)
+        if value is None:
+            self.misses += 1
+            value = table[key] = build(sub)
+        else:
+            self.hits += 1
+        return value
 
 
 def _subproblem_key(sub: BinaryQuadraticModel) -> tuple:
@@ -132,9 +156,15 @@ class DecomposingSolver:
         enumeration; larger ones go to ``subsolver``.  Defaults to
         ``min(sub_size, 20)`` and is capped at 26.
     subsolver:
-        Any Ocean-style sampler with ``sample(bqm, num_reads=…,
-        seed=…)`` — :class:`~repro.hybrid.tabu.TabuSampler` (default)
-        or :class:`~repro.annealing.simulated_annealing.SimulatedAnnealingSampler`.
+        An Ocean-style sampler with ``sample(bqm, num_reads=…, seed=…,
+        compiled=…)`` — :class:`~repro.hybrid.tabu.TabuSampler`
+        (default) or
+        :class:`~repro.annealing.simulated_annealing.SimulatedAnnealingSampler`.
+        ``compiled`` is always passed: ``None``, or the
+        :class:`~repro.qubo.compiled.CompiledBQM` of the model given.
+        A decomposed solve compiles each content-identical subproblem
+        once (and enumerates each exact block once), reporting
+        ``block_cache_hits``/``block_cache_misses`` in ``info``.
     sub_reads:
         Reads per subsolver call.
     max_rounds:
@@ -152,16 +182,6 @@ class DecomposingSolver:
         Fraction of variables re-randomized on perturbing restarts.
     seed:
         Default seed; ``solve(..., seed=…)`` overrides per call.
-    reuse_compiled:
-        Reuse work across decomposition rounds within one ``solve``
-        call.  Rounds repeatedly clamp the *same* blocks against an
-        unchanged boundary (especially once the incumbent stabilises),
-        producing byte-identical subproblems: exact blocks replay their
-        memoized optimum and subsolver blocks skip recompilation by
-        keying the array-compiled form on the subproblem's content.
-        Bit-identical to the uncached path — the RNG stream is drawn at
-        the call site and both the exact oracle and the compiled form
-        are deterministic functions of the subproblem.
     fleet:
         An :class:`~repro.annealers.AnnealerFleet`.  When set, the
         solver switches to fleet mode (registry name ``"fleet"``):
@@ -187,7 +207,6 @@ class DecomposingSolver:
         restarts: int = 4,
         perturb_fraction: float = 0.3,
         seed: Optional[int] = None,
-        reuse_compiled: bool = True,
         fleet=None,
     ) -> None:
         if sub_size < 2:
@@ -210,17 +229,12 @@ class DecomposingSolver:
         self.sub_size = sub_size
         self.exact_limit = exact_limit
         self.subsolver = subsolver if subsolver is not None else TabuSampler()
-        # the registry imports this module, so its probe is imported here
-        from repro.hybrid.registry import accepts_keyword
-
-        self._subsolver_takes_compiled = accepts_keyword(self.subsolver.sample, "compiled")
         self.sub_reads = sub_reads
         self.max_rounds = max_rounds
         self.stall_rounds = stall_rounds
         self.restarts = restarts
         self.perturb_fraction = perturb_fraction
         self.seed = seed
-        self.reuse_compiled = reuse_compiled
         self.fleet = fleet
         if fleet is not None:
             capacity = fleet.min_capacity()
@@ -248,225 +262,81 @@ class DecomposingSolver:
 
         ``compiled`` (a :class:`~repro.qubo.compiled.CompiledBQM` of
         this exact model) feeds the subsolver's full-model calls —
-        initial incumbents and models that fit in one block — without
-        recompiling; clamped subproblems are distinct models and are
-        compiled by the subsolver as usual.
+        initial incumbents and, without a fleet, models that fit in one
+        block — without recompiling; clamped subproblems are distinct
+        models, compiled once per content in the per-solve block cache.
         """
         if bqm.num_variables == 0:
             return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
-        deadline = (
-            None if time_budget is None
-            else time.monotonic() + max(0.0, float(time_budget))
-        )
-        if self.fleet is not None:
-            return self._fleet_solve(bqm, seed, deadline)
-        rng = np.random.default_rng(self.seed if seed is None else seed)
-
-        if bqm.num_variables <= self.sub_size:
-            sample, energy = self._solve_block(
-                bqm, int(rng.integers(2**31)), compiled=compiled
+        deadline = budget_deadline(time_budget)
+        fleet = self.fleet
+        root = self.seed if seed is None else seed
+        if fleet is None:
+            rng = np.random.default_rng(root)
+            capacity = self.sub_size
+            fleet_info = {}
+        else:
+            # orchestration randomness flows from harness-derived seeds,
+            # never from dispatch timing: invariant in the fleet size
+            root = 0 if root is None else int(root)
+            rng = np.random.default_rng(
+                derive_seed(root, _FLEET_SEED_SCOPE, {"stage": "orchestrator"})
             )
+            capacity = min(self.sub_size, fleet.min_capacity())
+            fleet_info = {"fleet_size": fleet.size}
+
+        if bqm.num_variables <= capacity:
+            if fleet is None:
+                sample, energy = self._solve_block(
+                    bqm, int(rng.integers(2**31)), compiled=compiled
+                )
+            else:
+                ((sample, energy),) = fleet.dispatch(
+                    [bqm], root, num_reads=self.sub_reads
+                )
             return SolveResult(
                 sample=sample, energy=energy, solver=self.name,
-                info={"rounds": 0, "subproblems": 1, "decomposed": False},
+                info={"rounds": 0, "subproblems": 1, "decomposed": False, **fleet_info},
             )
 
         components = strong_components(bqm)
         weights = component_weights(bqm, components)
-        caches = _BlockCaches() if self.reuse_compiled else None
-
+        caches = _BlockCaches()
         best_sample: Dict[Hashable, int] = {}
         best_energy = float("inf")
         total_rounds = 0
         total_subproblems = 0
         for restart in range(self.restarts):
-            if restart > 0 and deadline is not None and time.monotonic() >= deadline:
+            if restart > 0 and budget_spent(deadline):
                 break
             if restart == 0 or restart % 2 == 0:
                 sample = self._initial_sample(bqm, rng, compiled=compiled)
             else:
                 sample = self._perturb(bqm, best_sample, rng)
             sample, energy, rounds, subproblems = self._refine(
-                bqm, sample, components, weights, rng, deadline=deadline,
-                caches=caches,
+                bqm, sample, components, weights, rng, caches, capacity,
+                deadline, root, restart,
             )
             total_rounds += rounds
             total_subproblems += subproblems
             if energy < best_energy - 1e-9:
                 best_sample, best_energy = sample, energy
 
-        info = {
-            "rounds": total_rounds,
-            "subproblems": total_subproblems,
-            "restarts": self.restarts,
-            "components": len(components),
-            "decomposed": True,
-        }
-        if caches is not None:
-            info["block_cache_hits"] = caches.hits
-            info["block_cache_misses"] = caches.misses
         return SolveResult(
             sample=dict(best_sample),
             energy=float(best_energy),
             solver=self.name,
-            info=info,
+            info={
+                "rounds": total_rounds,
+                "subproblems": total_subproblems,
+                "restarts": self.restarts,
+                "components": len(components),
+                "decomposed": True,
+                **fleet_info,
+                "block_cache_hits": caches.hits,
+                "block_cache_misses": caches.misses,
+            },
         )
-
-    # ------------------------------------------------------------------
-    def _fleet_solve(
-        self,
-        bqm: BinaryQuadraticModel,
-        seed: Optional[int],
-        deadline: Optional[float],
-    ) -> SolveResult:
-        """Multi-annealer scheduling mode (Trummer & Koch sharding).
-
-        Blocks are sized to ``min(sub_size, fleet.min_capacity())`` so
-        every shard embeds on every device; per-shard solve seeds come
-        from the (device spec, shard content) pair inside the fleet, and
-        all orchestration randomness (initial samples, perturbations,
-        round shuffles) flows from harness-derived seeds — never from
-        dispatch timing — so the result is bit-identical across fleet
-        sizes and dispatch orders.
-        """
-        root = self.seed if seed is None else seed
-        root = 0 if root is None else int(root)
-        fleet = self.fleet
-        capacity = min(self.sub_size, fleet.min_capacity())
-
-        if bqm.num_variables <= capacity:
-            # Fits one annealer: a single dispatch, no orchestration
-            # randomness — trivially invariant in the fleet size.
-            ((sample, energy),) = fleet.dispatch(
-                [bqm], root, num_reads=self.sub_reads
-            )
-            return SolveResult(
-                sample=sample, energy=energy, solver=self.name,
-                info={
-                    "rounds": 0, "subproblems": 1, "decomposed": False,
-                    "fleet_size": fleet.size,
-                },
-            )
-
-        rng = np.random.default_rng(
-            derive_seed(root, _FLEET_SEED_SCOPE, {"stage": "orchestrator"})
-        )
-        components = strong_components(bqm)
-        weights = component_weights(bqm, components)
-        caches = _BlockCaches() if self.reuse_compiled else None
-
-        best_sample: Dict[Hashable, int] = {}
-        best_energy = float("inf")
-        total_rounds = 0
-        total_subproblems = 0
-        for restart in range(self.restarts):
-            if restart > 0 and deadline is not None and time.monotonic() >= deadline:
-                break
-            if restart == 0 or restart % 2 == 0:
-                sample = self._initial_sample(bqm, rng)
-            else:
-                sample = self._perturb(bqm, best_sample, rng)
-            restart_seed = derive_seed(
-                root, _FLEET_SEED_SCOPE, {"restart": restart}
-            )
-            sample, energy, rounds, subproblems = self._fleet_refine(
-                bqm, sample, components, weights, rng,
-                root=root, restart_seed=restart_seed, capacity=capacity,
-                deadline=deadline, caches=caches,
-            )
-            total_rounds += rounds
-            total_subproblems += subproblems
-            if energy < best_energy - 1e-9:
-                best_sample, best_energy = sample, energy
-
-        info = {
-            "rounds": total_rounds,
-            "subproblems": total_subproblems,
-            "restarts": self.restarts,
-            "components": len(components),
-            "decomposed": True,
-            "fleet_size": fleet.size,
-        }
-        if caches is not None:
-            info["block_cache_hits"] = caches.hits
-            info["block_cache_misses"] = caches.misses
-        return SolveResult(
-            sample=dict(best_sample),
-            energy=float(best_energy),
-            solver=self.name,
-            info=info,
-        )
-
-    def _fleet_refine(
-        self,
-        bqm: BinaryQuadraticModel,
-        sample: Dict[Hashable, int],
-        components: List[List[Hashable]],
-        weights: Dict[tuple, float],
-        rng: np.random.Generator,
-        root: int,
-        restart_seed: int,
-        capacity: int,
-        deadline: Optional[float] = None,
-        caches: Optional["_BlockCaches"] = None,
-    ) -> tuple:
-        """One restart's rounds of concurrent shard dispatch + merge.
-
-        Unlike the sequential :meth:`_refine`, every block of a round is
-        clamped against the *same* incumbent, so the shards are
-        independent and can anneal concurrently.  The price is paid at
-        the merge: shard-local optimality can break on the frontier, so
-        each round's candidate is the better of (a) the naive merge
-        after boundary reconciliation and (b) the best single shard
-        applied alone (whose clamped energy *is* its full-model energy).
-        """
-        energy = bqm.energy(sample)
-        rounds = 0
-        subproblems = 0
-        stall = 0
-        while rounds < self.max_rounds and stall < self.stall_rounds:
-            if rounds > 0 and deadline is not None and time.monotonic() >= deadline:
-                break
-            rounds += 1
-            if rounds == 1:
-                blocks = select_by_energy_impact(bqm, sample, capacity)
-            else:
-                order = [int(i) for i in rng.permutation(len(components))]
-                blocks = pack_components(components, weights, order, capacity)
-            subs = [clamp_subproblem(bqm, block, sample) for block in blocks]
-            subproblems += len(subs)
-            results = self.fleet.dispatch(subs, root, num_reads=self.sub_reads)
-
-            naive = dict(sample)
-            best_single: Optional[Dict[Hashable, int]] = None
-            best_single_energy = float("inf")
-            for shard_sample, shard_energy in results:
-                naive.update(shard_sample)
-                # clamped shard energy == full-model energy of the
-                # incumbent patched with this shard alone
-                if shard_energy < best_single_energy:
-                    best_single, best_single_energy = shard_sample, shard_energy
-
-            merged, merged_energy = reconcile_boundary(
-                bqm, naive, frontier_variables(bqm, blocks),
-                solve_block=lambda sub, s: self._solve_block(sub, s, caches=caches),
-                seed=derive_seed(restart_seed, _FLEET_SEED_SCOPE, {"round": rounds}),
-            )
-
-            if best_single is not None and best_single_energy < merged_energy:
-                candidate = dict(sample)
-                candidate.update(best_single)
-                candidate_energy = best_single_energy
-            else:
-                candidate, candidate_energy = merged, merged_energy
-
-            if candidate_energy < energy - 1e-9:
-                sample = dict(candidate)
-                energy = candidate_energy
-                stall = 0
-            else:
-                stall += 1
-        return sample, energy, rounds, subproblems
 
     # ------------------------------------------------------------------
     def _refine(
@@ -476,8 +346,11 @@ class DecomposingSolver:
         components: List[List[Hashable]],
         weights: Dict[tuple, float],
         rng: np.random.Generator,
-        deadline: Optional[float] = None,
-        caches: Optional["_BlockCaches"] = None,
+        caches: "_BlockCaches",
+        capacity: int,
+        deadline: Optional[float],
+        root: Optional[int],
+        restart: int,
     ) -> tuple:
         """Decomposition rounds until ``stall_rounds`` rounds stop paying.
 
@@ -485,35 +358,102 @@ class DecomposingSolver:
         (energy-impact blocks); every later round re-partitions by
         strong coupling with a freshly shuffled component order, so
         repeated rounds try different block compositions instead of
-        re-proving the same local optimum.
+        re-proving the same local optimum.  A round's blocks are solved
+        by :meth:`_sequential_round`, or by :meth:`_fleet_round` in
+        fleet mode; its candidate is accepted when it lowers the energy.
         """
+        if self.fleet is not None:
+            restart_seed = derive_seed(root, _FLEET_SEED_SCOPE, {"restart": restart})
         energy = bqm.energy(sample)
         rounds = 0
         subproblems = 0
         stall = 0
         while rounds < self.max_rounds and stall < self.stall_rounds:
-            if rounds > 0 and deadline is not None and time.monotonic() >= deadline:
+            if rounds > 0 and budget_spent(deadline):
                 break
             rounds += 1
             if rounds == 1:
-                blocks = select_by_energy_impact(bqm, sample, self.sub_size)
+                blocks = select_by_energy_impact(bqm, sample, capacity)
             else:
                 order = [int(i) for i in rng.permutation(len(components))]
-                blocks = pack_components(components, weights, order, self.sub_size)
-            improved = False
-            for block in blocks:
-                subproblems += 1
-                sub = clamp_subproblem(bqm, block, sample)
-                sub_sample, sub_energy = self._solve_block(
-                    sub, int(rng.integers(2**31)), caches=caches
+                blocks = pack_components(components, weights, order, capacity)
+            subproblems += len(blocks)
+            if self.fleet is None:
+                candidate, candidate_energy = self._sequential_round(
+                    bqm, blocks, sample, energy, rng, caches
                 )
-                if sub_energy < energy - 1e-9:
-                    sample = dict(sample)
-                    sample.update(sub_sample)
-                    energy = sub_energy
-                    improved = True
-            stall = 0 if improved else stall + 1
+            else:
+                candidate, candidate_energy = self._fleet_round(
+                    bqm, blocks, sample, root, caches,
+                    seed=derive_seed(restart_seed, _FLEET_SEED_SCOPE, {"round": rounds}),
+                )
+            if candidate_energy < energy - 1e-9:
+                sample, energy = candidate, candidate_energy
+                stall = 0
+            else:
+                stall += 1
         return sample, energy, rounds, subproblems
+
+    def _sequential_round(
+        self,
+        bqm: BinaryQuadraticModel,
+        blocks: List[List[Hashable]],
+        sample: Dict[Hashable, int],
+        energy: float,
+        rng: np.random.Generator,
+        caches: "_BlockCaches",
+    ) -> tuple:
+        """Solve blocks one by one, each clamped to the latest incumbent."""
+        for block in blocks:
+            sub = clamp_subproblem(bqm, block, sample)
+            sub_sample, sub_energy = self._solve_block(
+                sub, int(rng.integers(2**31)), caches=caches
+            )
+            if sub_energy < energy - 1e-9:
+                sample = dict(sample)
+                sample.update(sub_sample)
+                energy = sub_energy
+        return sample, energy
+
+    def _fleet_round(
+        self,
+        bqm: BinaryQuadraticModel,
+        blocks: List[List[Hashable]],
+        sample: Dict[Hashable, int],
+        root: int,
+        caches: "_BlockCaches",
+        seed: int,
+    ) -> tuple:
+        """Concurrent shard dispatch against one incumbent, then a merge.
+
+        Every block is clamped against the *same* incumbent, so the
+        shards are independent and can anneal concurrently.  The price
+        is paid at the merge: shard-local optimality can break on the
+        frontier, so the candidate is the better of (a) the naive merge
+        after boundary reconciliation and (b) the best single shard
+        applied alone (whose clamped energy *is* its full-model energy).
+        """
+        subs = [clamp_subproblem(bqm, block, sample) for block in blocks]
+        results = self.fleet.dispatch(subs, root, num_reads=self.sub_reads)
+
+        naive = dict(sample)
+        best_single: Optional[Dict[Hashable, int]] = None
+        best_single_energy = float("inf")
+        for shard_sample, shard_energy in results:
+            naive.update(shard_sample)
+            if shard_energy < best_single_energy:
+                best_single, best_single_energy = shard_sample, shard_energy
+
+        merged, merged_energy = reconcile_boundary(
+            bqm, naive, frontier_variables(bqm, blocks),
+            solve_block=lambda sub, s: self._solve_block(sub, s, caches=caches),
+            seed=seed,
+        )
+        if best_single is not None and best_single_energy < merged_energy:
+            candidate = dict(sample)
+            candidate.update(best_single)
+            return candidate, best_single_energy
+        return merged, merged_energy
 
     def _perturb(
         self,
@@ -541,48 +481,24 @@ class DecomposingSolver:
     ) -> tuple:
         """Exact enumeration when the block fits, subsolver otherwise.
 
-        With ``caches`` (one :class:`_BlockCaches` per ``solve`` call),
-        content-identical subproblems — same blocks re-clamped against
-        an unchanged boundary in later rounds/restarts — replay the
-        memoized exact optimum or reuse the compiled array form instead
-        of recompiling.  The caller draws the seed *before* calling, so
-        caching never shifts the RNG stream.
+        With ``caches`` (one :class:`_BlockCaches` per decomposed
+        ``solve``), content-identical subproblems — same blocks
+        re-clamped against an unchanged boundary in later
+        rounds/restarts — replay the memoized exact optimum or reuse the
+        compiled array form instead of recompiling.  The caller draws
+        the seed *before* calling, so caching never shifts the RNG
+        stream.
         """
         if sub.num_variables <= self.exact_limit:
             if caches is None:
-                result = brute_force_minimum(sub)
-                return dict(result.sample), float(result.energy)
-            key = _subproblem_key(sub)
-            hit = caches.exact.get(key)
-            if hit is not None:
-                caches.hits += 1
-                return dict(hit[0]), hit[1]
-            caches.misses += 1
-            result = brute_force_minimum(sub)
-            caches.exact[key] = (dict(result.sample), float(result.energy))
-            return dict(result.sample), float(result.energy)
-        if (
-            compiled is None
-            and caches is not None
-            and self._subsolver_takes_compiled
-        ):
-            key = _subproblem_key(sub)
-            compiled = caches.compiled.get(key)
-            if compiled is not None:
-                caches.hits += 1
-            else:
-                caches.misses += 1
-                compiled = compile_bqm(sub)
-                caches.compiled[key] = compiled
-        extra = (
-            {"compiled": compiled}
-            if compiled is not None and self._subsolver_takes_compiled
-            else {}
-        )
-        sample_set = self.subsolver.sample(
-            sub, num_reads=self.sub_reads, seed=seed, **extra
-        )
-        best = sample_set.first
+                return _exact_minimum(sub)
+            sample, energy = caches.lookup(caches.exact, sub, _exact_minimum)
+            return dict(sample), energy
+        if caches is not None:
+            compiled = caches.lookup(caches.compiled, sub, compile_bqm)
+        best = self.subsolver.sample(
+            sub, num_reads=self.sub_reads, seed=seed, compiled=compiled
+        ).first
         return dict(best.sample), float(best.energy)
 
     def _initial_sample(
@@ -595,15 +511,16 @@ class DecomposingSolver:
         an exact single-flip minimum) and refines with exact sub-solves
         rather than climbing out of a random assignment.
         """
-        extra = (
-            {"compiled": compiled}
-            if compiled is not None and self._subsolver_takes_compiled
-            else {}
-        )
         sample_set = self.subsolver.sample(
-            bqm, num_reads=self.sub_reads, seed=int(rng.integers(2**31)), **extra
+            bqm, num_reads=self.sub_reads, seed=int(rng.integers(2**31)),
+            compiled=compiled,
         )
         return greedy_descent(bqm, dict(sample_set.first.sample))
+
+
+def _exact_minimum(sub: BinaryQuadraticModel) -> tuple:
+    result = brute_force_minimum(sub)
+    return dict(result.sample), float(result.energy)
 
 
 def greedy_descent(

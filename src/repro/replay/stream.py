@@ -47,13 +47,33 @@ def zipf_cumulative(unique: int, s: float) -> np.ndarray:
     normalized.  ``searchsorted`` over the returned array maps a
     uniform draw to a rank in O(log unique).
     """
+    _check_zipf(unique, s)
+    weights = 1.0 / np.arange(1, unique + 1, dtype=float) ** s
+    cumulative = np.cumsum(weights)
+    return cumulative / cumulative[-1]
+
+
+def _check_zipf(unique: int, s: float) -> None:
     if unique < 1:
         raise ConfigurationError("unique slot count must be at least 1")
     if s < 0.0:
         raise ConfigurationError("zipf exponent must be non-negative")
-    weights = 1.0 / np.arange(1, unique + 1, dtype=float) ** s
-    cumulative = np.cumsum(weights)
-    return cumulative / cumulative[-1]
+
+
+def _uniform_slot(u: float, unique: int) -> int:
+    """Largest ``k`` with ``k / unique <= u``, for ``u`` in ``[0, 1)``.
+
+    The Zipf(0) table holds ``k / unique`` for ``k = 1..unique``, each a
+    correctly rounded quotient, and so does Python's ``int / int``:
+    this is ``searchsorted(zipf_cumulative(unique, 0.0), u,
+    side="right")`` without the table.
+    """
+    k = int(u * unique)
+    while k > 0 and k / unique > u:
+        k -= 1
+    while (k + 1) / unique <= u:
+        k += 1
+    return k
 
 
 def _slot_request(
@@ -151,7 +171,9 @@ def replay_stream(
         if not 1 <= lo <= hi:
             raise ConfigurationError(f"{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
     policy_tuple = None if policy is None else tuple(policy)
-    cumulative = zipf_cumulative(unique, zipf_s)
+    _check_zipf(unique, zipf_s)
+    # a uniform stream (zipf_s = 0) needs no CDF table over its slots
+    cumulative = None if zipf_s == 0.0 else zipf_cumulative(unique, zipf_s)
 
     def generate() -> Iterator[OptimizationRequest]:
         rng = np.random.default_rng(
@@ -159,7 +181,11 @@ def replay_stream(
         )
         slots: Dict[int, OptimizationRequest] = {}
         for index in range(count):
-            slot = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
+            u = float(rng.random())
+            if cumulative is None:
+                slot = _uniform_slot(u, unique)
+            else:
+                slot = int(np.searchsorted(cumulative, u, side="right"))
             template = slots.get(slot)
             if template is None:
                 template = _slot_request(

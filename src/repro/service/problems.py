@@ -35,7 +35,7 @@ from repro.joinorder.direct_qubo import DirectJoinOrderQubo
 from repro.joinorder.query_graph import QueryGraph
 from repro.mqo.problem import MqoProblem
 from repro.mqo.qubo import MqoQuboBuilder
-from repro.mqo.solvers import repair_selection, solve_greedy_local
+from repro.mqo.solvers import solve_greedy_local
 from repro.qubo.bqm import BinaryQuadraticModel
 from repro.qubo.compiled import CompiledBQM, compile_bqm
 from repro.serialization import (
@@ -73,12 +73,8 @@ class MqoAdapter:
 
     kind = "mqo"
 
-    def __init__(self, problem: MqoProblem, repair: bool = False) -> None:
+    def __init__(self, problem: MqoProblem) -> None:
         self.problem = problem
-        #: repair invalid samples at decode time instead of falling
-        #: through to the next stage (off by default: a stage must earn
-        #: its answer for the fallback semantics to mean anything)
-        self.repair = repair
         self._builder: Optional[MqoQuboBuilder] = None
         self._bqm: Optional[BinaryQuadraticModel] = None
         self._compiled: Optional[CompiledBQM] = None
@@ -101,10 +97,6 @@ class MqoAdapter:
         """Sample → (plan payload, cost, valid)."""
         self.bqm()
         solution = self._builder.decode(sample, method="service")
-        if not solution.valid and self.repair:
-            repaired = repair_selection(self.problem, solution.selected_plans)
-            cost = self.problem.execution_cost(repaired)
-            return {"selected_plans": sorted(repaired)}, float(cost), True
         return (
             {"selected_plans": list(solution.selected_plans)},
             float(solution.cost),

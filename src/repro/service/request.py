@@ -19,11 +19,9 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.exceptions import ProblemError
 from repro.joinorder.query_graph import QueryGraph
 from repro.mqo.problem import MqoProblem
-from repro.serialization import register_serializer, to_jsonable
+from repro.serialization import _FORMAT, _check, register_serializer, to_jsonable
 from repro.service.chain import StageSpec, parse_policy
 from repro.service.problems import kind_spec
-
-_FORMAT = 1
 
 KIND_MQO = "mqo"
 KIND_JOIN_ORDER = "join_order"
@@ -190,13 +188,6 @@ def result_from_dict(data: Dict[str, Any]) -> OptimizationResult:
         stage_trace=tuple(dict(entry) for entry in data.get("stage_trace", [])),
         reject_reason=data.get("reject_reason"),
     )
-
-
-def _check(data: Dict[str, Any], kind: str) -> None:
-    if data.get("kind") != kind:
-        raise ProblemError(f"expected kind {kind!r}, got {data.get('kind')!r}")
-    if data.get("format") != _FORMAT:
-        raise ProblemError(f"unsupported format version {data.get('format')!r}")
 
 
 register_serializer(

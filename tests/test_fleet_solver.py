@@ -11,6 +11,9 @@ Two contracts are pinned here:
   verify invariant sweeps the same property over the corpus).
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +119,38 @@ def test_decomposed_instance_identical_across_fleet_sizes():
     assert fleet.energy == single.energy
     assert fleet.info["decomposed"] is True
     assert fleet.info["fleet_size"] == 4
+
+
+#: SHA-256 of the fleet solves in ``_FLEET_DIGEST_CASES`` (sample,
+#: ``repr(energy)`` and ``info`` minus ``fleet_size``) at fleet sizes 1
+#: and 3.  Fleet-size invariance alone cannot catch a change that moves
+#: every size at once; this pin can -- do not re-pin it to paper over a
+#: change that was meant to be bit-identical
+FLEET_DIGEST = "30cc31f785adbf464aa5d8c3a393fb6d733a34d6c8a0e6e50e8c1ff01cff8a25"
+
+#: (queries, plans per query, problem seed, solve seed, solver options)
+_FLEET_DIGEST_CASES = (
+    (4, 2, 12, 5, {}),  # 8 variables: one block, a single dispatch
+    (10, 3, 8, 3, {"restarts": 1, "max_rounds": 3}),  # decomposed
+    (9, 3, 1, 2, {"restarts": 3, "max_rounds": 2}),  # perturbing restart
+    (8, 3, 4, 0, {"sub_size": 8, "restarts": 4, "max_rounds": 2}),
+)
+
+
+def test_fleet_solves_pinned_by_digest():
+    rows = []
+    for queries, plans, problem_seed, seed, options in _FLEET_DIGEST_CASES:
+        bqm = mqo_to_bqm(random_mqo_problem(queries, plans, seed=problem_seed))
+        for size in (1, 3):
+            result = _solve(size, bqm, seed=seed, **options)
+            info = {k: v for k, v in result.info.items() if k != "fleet_size"}
+            rows.append([
+                sorted([str(v), x] for v, x in result.sample.items()),
+                repr(result.energy),
+                sorted([k, repr(v)] for k, v in info.items()),
+            ])
+    blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == FLEET_DIGEST
 
 
 def test_registry_fleet_solver():

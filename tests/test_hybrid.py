@@ -3,6 +3,8 @@ decomposition primitives, the unified solver registry, the qbsolv-style
 DecomposingSolver (including the 50-query acceptance instance), and the
 hybrid_scaling experiment through the harness."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.hybrid import (
     solver_names,
     strong_components,
 )
+import repro.hybrid.solver as hybrid_solver
 from repro.hybrid.decomposer import component_weights
 from repro.hybrid.registry import _FACTORIES
 from repro.mqo.generator import random_mqo_problem
@@ -420,22 +423,28 @@ class TestDecomposingSolver:
         result = solver.solve(bqm, seed=3)
         assert builder.decode(result.sample, method="hybrid").valid
 
-    def test_block_cache_reuse_identical_results(self):
+    @staticmethod
+    def _solve_uncached(monkeypatch, solver, bqm, seed):
+        """``solver.solve`` with a fresh cache key per lookup: all miss."""
+        keys = itertools.count()
+        with monkeypatch.context() as patch:
+            patch.setattr(hybrid_solver, "_subproblem_key", lambda sub: next(keys))
+            return solver.solve(bqm, seed=seed)
+
+    def test_block_cache_reuse_identical_results(self, monkeypatch):
         """Reusing compiled subproblem blocks across refinement rounds
         must not change the solution, only skip recompilation."""
         _, builder, bqm = _mqo_bqm(queries=9, ppq=3)  # 27 variables
-        on = DecomposingSolver(sub_size=10, restarts=2, reuse_compiled=True).solve(
-            bqm, seed=11
-        )
-        off = DecomposingSolver(sub_size=10, restarts=2, reuse_compiled=False).solve(
-            bqm, seed=11
+        on = DecomposingSolver(sub_size=10, restarts=2).solve(bqm, seed=11)
+        off = self._solve_uncached(
+            monkeypatch, DecomposingSolver(sub_size=10, restarts=2), bqm, 11
         )
         assert on.sample == off.sample
         assert on.energy == pytest.approx(off.energy, abs=1e-12)
         assert on.info["block_cache_hits"] > 0
-        assert "block_cache_hits" not in off.info
+        assert off.info["block_cache_hits"] == 0
 
-    def test_block_cache_reuse_with_subsolver(self):
+    def test_block_cache_reuse_with_subsolver(self, monkeypatch):
         from repro.annealing.simulated_annealing import (
             SimulatedAnnealingSampler,
         )
@@ -445,8 +454,8 @@ class TestDecomposingSolver:
             sub_size=10, exact_limit=2, restarts=2,
             subsolver=SimulatedAnnealingSampler(num_sweeps=100),
         )
-        on = DecomposingSolver(reuse_compiled=True, **kwargs).solve(bqm, seed=7)
-        off = DecomposingSolver(reuse_compiled=False, **kwargs).solve(bqm, seed=7)
+        on = DecomposingSolver(**kwargs).solve(bqm, seed=7)
+        off = self._solve_uncached(monkeypatch, DecomposingSolver(**kwargs), bqm, 7)
         assert on.sample == off.sample
         assert on.energy == pytest.approx(off.energy, abs=1e-12)
 

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from repro import server
@@ -22,6 +23,7 @@ from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.replay import replay_stream, run_replay, zipf_cumulative
 from repro.replay.driver import _PlanValidator
+from repro.replay.stream import _uniform_slot
 from repro.serialization import to_jsonable
 from repro.server import ServiceConfig, make_scheduler
 from repro.service import BatchScheduler, OptimizationService
@@ -60,6 +62,23 @@ class TestZipf:
         flat = zipf_cumulative(32, 0.0)
         skewed = zipf_cumulative(32, 2.0)
         assert skewed[0] > flat[0]
+
+    @pytest.mark.parametrize("unique", [1, 2, 3, 7, 10, 333, 333333, 400000, 10**6])
+    def test_uniform_slot_matches_table_search(self, unique):
+        # every grid point k/unique, its float neighbours and random draws
+        grid = np.arange(unique + 1, dtype=float) / unique
+        draws = np.concatenate([
+            grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0),
+            np.random.default_rng(unique).random(1000),
+        ])
+        draws = draws[(draws >= 0.0) & (draws < 1.0)]
+        expected = np.searchsorted(zipf_cumulative(unique, 0.0), draws, side="right")
+        got = np.array([_uniform_slot(float(u), unique) for u in draws])
+        assert np.array_equal(got, expected)
+
+    def test_uniform_stream_rejects_empty_pool(self):
+        with pytest.raises(ConfigurationError):
+            replay_stream(4, unique=0, zipf_s=0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
