@@ -273,15 +273,13 @@ def _print_service_stats(stats: Dict) -> None:
             + " ".join(f"{stage}={count}" for stage, count in sorted(stages.items()))
         )
     print(f"deadline exceeded: {counters.get('deadline_exceeded', 0)}")
-    results_cache = cache.get("results", {})
-    compiled_cache = cache.get("compiled", {})
-    if results_cache:
-        print(
-            f"cache: result hits {results_cache['hits']}/"
-            f"{results_cache['hits'] + results_cache['misses']} "
-            f"({100.0 * results_cache['hit_rate']:.1f}%), "
-            f"compile hits {compiled_cache.get('hits', 0)}"
-        )
+    result_hits = counters.get("cache.result_hits", 0)
+    result_lookups = result_hits + counters.get("cache.result_misses", 0)
+    hit_pct = 100.0 * result_hits / result_lookups if result_lookups else 0.0
+    print(
+        f"cache: result hits {result_hits}/{result_lookups} ({hit_pct:.1f}%), "
+        f"compile hits {cache.get('compiled', {}).get('hits', 0)}"
+    )
     routing = stats.get("routing")
     if routing and routing.get("enabled"):
         regret = routing.get("regret_ms", {})

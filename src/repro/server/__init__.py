@@ -9,10 +9,11 @@ service with deadline-aware fallback chains.  This package makes it
   instead of serializing on the GIL.  Requests/results cross workers
   as :mod:`repro.serialization` JSON; per-worker caches warm at
   startup; ``stats()`` merges every worker into one report.
-* request coalescing and the result cache (shared with the thread
-  backend, see :class:`repro.service.core.SchedulerBase`) — duplicate
-  in-flight requests attach to the running solve and all receive its
-  result; repeats of a finished one are answered without a solve.
+* request coalescing and the one result cache (shared with the
+  thread backend, see :class:`repro.service.core.SchedulerBase`) —
+  duplicate in-flight requests attach to the running solve and all
+  receive its result; repeats of a finished one are answered in the
+  scheduler without a solve.
 * :mod:`~repro.server.gateway` + :mod:`~repro.server.routes` +
   :mod:`~repro.server.models` — a stdlib-only asyncio HTTP front door
   (``POST /optimize``, ``POST /sql``, ``GET /stats``,
@@ -103,7 +104,11 @@ def make_scheduler(
         service = config.build()
         warm_up(service, default_warmup_requests() if warmup is None else warmup)
         return BatchScheduler(
-            service, workers=workers, queue_limit=queue_limit, coalesce=coalesce
+            service,
+            workers=workers,
+            queue_limit=queue_limit,
+            coalesce=coalesce,
+            result_capacity=config.result_capacity,
         )
     return ProcessPoolScheduler(
         config=config,

@@ -6,8 +6,8 @@ added (commit 35c5f5e) showed throughput *falling* as workers were
 added.  :class:`ProcessPoolScheduler` is the drop-in replacement: each
 worker is a separate OS process owning a full
 :class:`~repro.service.core.OptimizationService` (its own compilation
-and result caches, metrics, and fallback chain), so solves run truly
-concurrently on multi-core hosts.
+cache, metrics, and fallback chain), so solves run truly concurrently
+on multi-core hosts.
 
 Design decisions worth knowing:
 
@@ -32,10 +32,14 @@ Design decisions worth knowing:
   assignment, and a dedicated control lane for stats polls and the
   graceful-shutdown sentinel (queued work always drains first).
 * **Parent-side result cache** — :class:`SchedulerBase`'s bounded LRU
-  (``ServiceConfig.result_capacity`` entries): a repeat of a finished
-  request is answered inside :meth:`submit` — no JSON encode, no IPC,
-  no adapter rebuild in a worker.  Parent hits are counted under the
-  worker's metric names so the merged report stays exact.
+  (``ServiceConfig.result_capacity`` entries), the pool's only result
+  cache: a repeat of a finished request is answered inside
+  :meth:`submit` — no JSON encode, no IPC, no adapter rebuild in a
+  worker.  Parent hits and misses are counted under the worker's
+  metric names so the merged report stays exact.
+* **Counters survive crashes** — ``stats()`` keeps the last state each
+  worker shipped and merges it for workers that have died, so merged
+  counters never go backwards after a crash.
 """
 
 from __future__ import annotations
@@ -75,12 +79,13 @@ class ServiceConfig:
     Worker processes cannot receive a live :class:`OptimizationService`
     (caches and locks don't cross ``exec`` boundaries under the spawn
     start method), so the pool ships this config and every worker
-    builds its own.
+    builds its own.  ``result_capacity`` sizes the scheduler's result
+    cache, which lives in the parent (or beside the thread backend's
+    service), not in the workers.
     """
 
     policy: Optional[Tuple[StageSpec, ...]] = None
     seed: int = 0
-    compiled_capacity: int = 256
     result_capacity: int = 1024
     #: enable deadline-aware routing (:mod:`repro.routing`): each
     #: worker builds its own RoutingPolicy over the effective policy's
@@ -94,11 +99,7 @@ class ServiceConfig:
 
             routing_policy = RoutingPolicy(candidates=self.effective_policy())
         return OptimizationService(
-            policy=self.policy,
-            seed=self.seed,
-            compiled_capacity=self.compiled_capacity,
-            result_capacity=self.result_capacity,
-            routing=routing_policy,
+            policy=self.policy, seed=self.seed, routing=routing_policy
         )
 
     def effective_policy(self) -> Tuple[StageSpec, ...]:
@@ -110,7 +111,6 @@ class ServiceConfig:
             if self.policy is None
             else [stage.to_dict() for stage in self.policy],
             "seed": self.seed,
-            "compiled_capacity": self.compiled_capacity,
             "result_capacity": self.result_capacity,
             "routing": self.routing,
         }
@@ -121,7 +121,6 @@ class ServiceConfig:
         return cls(
             policy=None if policy is None else parse_policy(policy),
             seed=int(data.get("seed", 0)),
-            compiled_capacity=int(data.get("compiled_capacity", 256)),
             result_capacity=int(data.get("result_capacity", 1024)),
             routing=bool(data.get("routing", False)),
         )
@@ -282,6 +281,8 @@ class ProcessPoolScheduler(SchedulerBase):
         self._next_task = 0
         self._round_robin = 0
         self._final_states: Optional[List[Dict[str, Any]]] = None
+        #: worker index -> the last metric state it shipped
+        self._last_states: Dict[int, Dict[str, Any]] = {}
         self._ready = threading.Event()
         self._ready_count = 0
         self._live = self.workers
@@ -488,13 +489,16 @@ class ProcessPoolScheduler(SchedulerBase):
             self._task_queues[target].put(("request", task_id, payload))
 
     def _poll_worker_states(self, timeout: float = 30.0) -> List[Dict[str, Any]]:
-        """Ask every live worker for its raw metric state, in order.
+        """Every worker's latest raw metric state, in worker order.
 
-        Stats polls ride the same per-worker queues as requests, so a
-        busy worker answers after finishing its queued solves — the
-        snapshot is therefore consistent (no mid-solve counters).
+        Live workers are asked afresh.  Stats polls ride the same
+        per-worker queues as requests, so a busy worker answers after
+        finishing its queued solves — the snapshot is therefore
+        consistent (no mid-solve counters).  A worker that has died
+        contributes the last state it shipped, so its counters stay in
+        the merged report.
         """
-        waiters: List[Tuple[int, Future]] = []
+        waiters: List[Tuple[int, int, Future]] = []
         with self._lock:
             for index in range(self.workers):
                 if not self._processes[index].is_alive():
@@ -504,14 +508,13 @@ class ProcessPoolScheduler(SchedulerBase):
                 waiter: Future = Future()
                 self._stats_waiters[task_id] = waiter
                 self._task_queues[index].put(("stats", task_id, None))
-                waiters.append((task_id, waiter))
-        states: List[Dict[str, Any]] = []
-        for task_id, waiter in waiters:
+                waiters.append((index, task_id, waiter))
+        for index, task_id, waiter in waiters:
             try:
-                states.append(waiter.result(timeout=timeout))
-            except Exception:  # noqa: BLE001 — a dead worker just drops out
+                self._last_states[index] = waiter.result(timeout=timeout)
+            except Exception:  # noqa: BLE001 — a dying worker keeps its last state
                 self._stats_waiters.pop(task_id, None)
-        return states
+        return [self._last_states[index] for index in sorted(self._last_states)]
 
     def _fail_outstanding(self, reason: str) -> None:
         with self._lock:

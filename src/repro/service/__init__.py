@@ -14,8 +14,8 @@ registry (PR 2) and harness primitives (PR 1) into that serving layer:
   per-stage time budgets and graceful degradation;
 * :mod:`~repro.service.problems` — per-problem-kind adapters (QUBO
   compilation, decoding, guaranteed classical fallback);
-* :mod:`~repro.service.cache` — content-hash keyed compilation and
-  result caches;
+* :mod:`~repro.service.cache` — the content-hash keyed compilation
+  cache (served results are cached by the scheduler);
 * :mod:`~repro.service.core` — the thread-safe
   :class:`OptimizationService` and the admission-controlled
   :class:`BatchScheduler`;

@@ -1,20 +1,12 @@
-"""Thread-safe LRU caches for compiled problems and served results.
+"""Thread-safe LRU cache for compiled problems.
 
-Two sections, both keyed by content hashes (the harness's
-fingerprinting approach — SHA-256 over canonical JSON):
+Keyed by problem content hashes (the harness's fingerprinting
+approach — SHA-256 over canonical JSON): problem fingerprint → problem
+adapter holding the built QUBO and its compiled arrays, so repeated
+requests for the same instance skip QUBO construction entirely.
 
-* **compiled** — problem fingerprint → problem adapter holding the
-  built QUBO, so repeated requests for the same instance skip QUBO
-  construction entirely;
-* **results** — (fingerprint, solve seed, policy) → the served plan,
-  so an identical request is answered from memory.  Because solve
-  seeds derive from problem content (see
-  :meth:`repro.service.core.OptimizationService.optimize`), a result
-  restored from this cache is bit-identical to what the fallback chain
-  would recompute — reuse never changes plans or stage assignments,
-  which keeps concurrent runs reproducible.  Results that were
-  deadline-truncated are not stored, so only deterministic outcomes
-  propagate.
+Served results are cached once, in the scheduler
+(:class:`repro.service.core.SchedulerBase`), not here.
 """
 
 from __future__ import annotations
@@ -24,6 +16,9 @@ from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional
 
 __all__ = ["CompilationCache", "LruSection", "merge_cache_stats"]
+
+#: compiled adapters each service keeps
+COMPILED_CAPACITY = 256
 
 
 class LruSection:
@@ -61,14 +56,12 @@ class LruSection:
 
 
 class CompilationCache:
-    """Compiled-problem and served-result cache behind one lock."""
+    """The compiled-problem LRU behind a lock (``COMPILED_CAPACITY`` entries)."""
 
-    def __init__(self, compiled_capacity: int = 256, result_capacity: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._compiled = LruSection(compiled_capacity)
-        self._results = LruSection(result_capacity)
+        self._compiled = LruSection(COMPILED_CAPACITY)
 
-    # -- compiled adapters ---------------------------------------------
     def get_compiled(self, fingerprint: str) -> Optional[Any]:
         with self._lock:
             return self._compiled.get(fingerprint)
@@ -77,27 +70,9 @@ class CompilationCache:
         with self._lock:
             self._compiled.put(fingerprint, adapter)
 
-    # -- served results ------------------------------------------------
-    def get_result(self, key: str) -> Optional[Any]:
-        with self._lock:
-            return self._results.get(key)
-
-    def put_result(self, key: str, outcome: Any) -> None:
-        with self._lock:
-            self._results.put(key, outcome)
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, float]]:
         with self._lock:
-            return {
-                "compiled": self._compiled.stats(),
-                "results": self._results.stats(),
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._compiled.entries.clear()
-            self._results.entries.clear()
+            return {"compiled": self._compiled.stats()}
 
     def reset_counters(self) -> None:
         """Zero hit/miss counters but keep the cached entries.
@@ -107,9 +82,8 @@ class CompilationCache:
         clean counters.
         """
         with self._lock:
-            for section in (self._compiled, self._results):
-                section.hits = 0
-                section.misses = 0
+            self._compiled.hits = 0
+            self._compiled.misses = 0
 
 
 def merge_cache_stats(

@@ -6,14 +6,20 @@ against shared caches and metrics.  :class:`BatchScheduler` adds a
 worker pool with admission control on top — a bounded in-flight count,
 rejecting excess requests with a reason instead of queueing unboundedly.
 
+Caching is split by layer: the service caches compiled problems
+(:class:`~repro.service.cache.CompilationCache`), and
+:class:`SchedulerBase` — the front end of both scheduler backends —
+holds the one cache of served results.  A direct
+:meth:`~OptimizationService.optimize` call always runs the chain.
+
 Determinism contract: a request's solve seed is derived (harness
 SHA-256 scheme) from the root seed, the problem's content fingerprint,
-and the policy — *not* from request ids or arrival order.  Two requests
-carrying the same problem therefore produce identical plans and stage
-assignments whether they run serially, concurrently, or get served
-from the result cache, and a rerun of a whole workload with the same
-root seed reproduces it plan-for-plan (as long as every stage reached
-completes within its deadline slice).
+and the policy — *not* from request ids, deadlines or arrival order.
+Two requests carrying the same problem therefore produce identical
+plans and stage assignments whether they run serially, concurrently,
+or get served from the result cache, and a rerun of a whole workload
+with the same root seed reproduces it plan-for-plan (as long as every
+stage reached completes within its deadline slice).
 """
 
 from __future__ import annotations
@@ -58,8 +64,9 @@ def record_served(
     """Count one answered request and observe its latency.
 
     Shared by the service and the scheduler result cache
-    (:class:`SchedulerBase`), so a request answered in either place
-    lands under the same counter names in the merged report.
+    (:class:`SchedulerBase`), so a request solved by a service and one
+    answered from the cache land under the same counter names in the
+    merged report.
     """
     metrics.incr("requests_ok")
     metrics.incr(f"served_by.{served_by}")
@@ -108,15 +115,13 @@ class OptimizationService:
         self,
         policy: Optional[Sequence[StageSpec]] = None,
         seed: int = 0,
-        compiled_capacity: int = 256,
-        result_capacity: int = 1024,
         routing=None,
     ) -> None:
         self.policy: Tuple[StageSpec, ...] = (
             tuple(policy) if policy is not None else default_policy()
         )
         self.seed = int(seed)
-        self.cache = CompilationCache(compiled_capacity, result_capacity)
+        self.cache = CompilationCache()
         self.metrics = Metrics()
         #: optional :class:`repro.routing.RoutingPolicy` — when set,
         #: requests without an explicit per-request policy get their
@@ -135,7 +140,16 @@ class OptimizationService:
         adapter = self._compiled_adapter(request)
         root_seed = self.seed if request.seed is None else int(request.seed)
         policy = request.policy if request.policy is not None else self.policy
-        seed_key = pkey = policy_key(policy, request.mode)
+        # the solve seed derives from the *static* policy key, not the
+        # routed per-request chain: whenever the router's chain order
+        # matches the static order (loose deadlines), every stage seed
+        # matches the unrouted run and the plan is bit-identical to the
+        # static service's
+        solve_seed = derive_seed(
+            root_seed,
+            "repro.service",
+            {"fingerprint": adapter.fingerprint, "policy": policy_key(policy, request.mode)},
+        )
         decision = None
         if self.routing is not None and request.policy is None:
             from repro.routing.features import extract_features
@@ -143,26 +157,7 @@ class OptimizationService:
             decision = self.routing.decide(
                 extract_features(adapter), request.deadline_ms
             )
-            # the solve seed derives from the *static* policy key, not
-            # the per-request chain: whenever the router's chain order
-            # matches the static order (loose deadlines), every stage
-            # seed matches the unrouted run and the plan is
-            # bit-identical to the static service's
             policy = decision.policy
-            pkey = policy_key(policy, request.mode)
-        solve_seed = derive_seed(
-            root_seed,
-            "repro.service",
-            {"fingerprint": adapter.fingerprint, "policy": seed_key},
-        )
-        result_key = f"{adapter.fingerprint}|{solve_seed}|{pkey}"
-
-        cached = self.cache.get_result(result_key) if request.deadline_ms > 0 else None
-        if cached is not None:
-            self.metrics.incr("cache.result_hits")
-            result = self._finish(request, cached, start, cache_hit=True)
-            return result
-        self.metrics.incr("cache.result_misses")
 
         outcome = run_chain(
             adapter,
@@ -171,16 +166,27 @@ class OptimizationService:
             seed=solve_seed,
             mode=request.mode,
         )
-        if not outcome.deadline_exceeded:
-            # only deterministic (untruncated) outcomes may be reused
-            self.cache.put_result(result_key, outcome)
         if decision is not None:
             # router counters land in the service metrics so the
             # process pool merges them like any other
             self.routing.observe(decision, outcome, self.metrics)
         for entry in outcome.stage_trace:
             self.metrics.observe(f"stage_seconds.{entry['stage']}", entry["seconds"])
-        return self._finish(request, outcome, start, cache_hit=False)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        record_served(self.metrics, outcome.served_by, outcome.deadline_exceeded, elapsed_ms)
+        return OptimizationResult(
+            request_id=request.request_id,
+            kind=request.kind,
+            status="ok",
+            plan=dict(outcome.plan),
+            cost=outcome.cost,
+            energy=outcome.energy,
+            valid=outcome.valid,
+            served_by=outcome.served_by,
+            deadline_exceeded=outcome.deadline_exceeded,
+            elapsed_ms=elapsed_ms,
+            stage_trace=outcome.stage_trace,
+        )
 
     def stats(self) -> Dict:
         """Metrics + cache snapshot for dashboards and the CLI."""
@@ -223,28 +229,6 @@ class OptimizationService:
         self.cache.put_compiled(probe.fingerprint, probe)
         return probe
 
-    def _finish(
-        self, request: OptimizationRequest, outcome, start: float, cache_hit: bool
-    ) -> OptimizationResult:
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        record_served(
-            self.metrics, outcome.served_by, outcome.deadline_exceeded, elapsed_ms
-        )
-        return OptimizationResult(
-            request_id=request.request_id,
-            kind=request.kind,
-            status="ok",
-            plan=dict(outcome.plan),
-            cost=outcome.cost,
-            energy=outcome.energy,
-            valid=outcome.valid,
-            served_by=outcome.served_by,
-            deadline_exceeded=outcome.deadline_exceeded,
-            cache_hit=cache_hit,
-            elapsed_ms=elapsed_ms,
-            stage_trace=outcome.stage_trace,
-        )
-
 
 class SchedulerBase:
     """The scheduler front end, backend-agnostic.
@@ -253,15 +237,17 @@ class SchedulerBase:
     pool in :mod:`repro.server.pool` — share everything :meth:`submit`
     does before a solve starts:
 
-    * **result cache**: a bounded LRU (``result_capacity`` entries)
-      keyed by the request's :func:`coalesce_key`.  A finished answer
-      is stored when the service would cache it too (``ok``, not
-      deadline-truncated, positive deadline), before the client's
-      future resolves, so a repeat sent once an answer is out is
-      answered inside :meth:`submit` with ``cache_hit=True`` — no
-      worker, no adapter rebuild.  Hits are counted under the
-      service's metric names; ``stats()["scheduler"]["result_cache"]``
-      reports ``{size, capacity, hits}``;
+    * **result cache**: the only cache of served results — a bounded
+      LRU (``result_capacity`` entries) keyed by the request's
+      :func:`coalesce_key`.  A finished answer is stored when it is
+      deterministic (``ok``, not deadline-truncated, positive
+      deadline), before the client's future resolves, so a repeat
+      sent once an answer is out is answered inside :meth:`submit`
+      with ``cache_hit=True`` — no worker, no adapter rebuild.  Hits
+      are counted under the service's metric names, and each keyed
+      request dispatched to a worker counts one ``cache.result_misses``;
+      ``stats()["scheduler"]["result_cache"]`` reports
+      ``{size, capacity, hits}``;
     * **admission control**: ``queue_limit`` bounds the number of
       admitted-but-unfinished requests; beyond it, :meth:`submit`
       resolves immediately to a ``rejected`` result naming the
@@ -341,6 +327,7 @@ class SchedulerBase:
             self._in_flight += 1
             future = self._dispatch(request)
             if key is not None:
+                self.scheduler_metrics.incr("cache.result_misses")
                 # the answer is stored before the client's future resolves
                 future = _chain(future, lambda r: self._remember(request, key, r))
                 self._flights[key] = future
@@ -395,7 +382,7 @@ class SchedulerBase:
     def _remember(
         self, request: OptimizationRequest, key: str, result: OptimizationResult
     ) -> OptimizationResult:
-        """Store ``result`` under ``key`` if the service would cache it."""
+        """Store ``result`` under ``key`` if it is deterministic."""
         if request.deadline_ms > 0 and result.status == "ok" and not result.deadline_exceeded:
             with self._lock:
                 self._results.put(key, replace(result, plan=dict(result.plan)))
@@ -464,8 +451,7 @@ class BatchScheduler(SchedulerBase):
     with cores.  Worker count resolves through the harness convention
     (explicit argument, then ``REPRO_BENCH_WORKERS``, then 1).  The
     scheduler counts into the service's :class:`Metrics`, so result
-    cache hits and rejections show in ``service.stats()``; the result
-    cache holds as many entries as the service's.
+    cache hits, misses and rejections show in ``service.stats()``.
     """
 
     backend = "thread"
@@ -476,10 +462,11 @@ class BatchScheduler(SchedulerBase):
         workers: Optional[int] = None,
         queue_limit: Optional[int] = None,
         coalesce: bool = True,
+        result_capacity: int = 1024,
     ) -> None:
         super().__init__(
             (service.seed, service.policy, service.routing is not None),
-            service.cache.stats()["results"]["capacity"],
+            result_capacity,
             workers=workers,
             queue_limit=queue_limit,
             coalesce=coalesce,

@@ -12,10 +12,10 @@ the two cost paths, and the service solves the extracted graph.
 :class:`SqlQuery` is the serving payload: raw SQL plus the catalog it
 binds against.  :class:`SqlAdapter` derives the join graph once and
 then *is* a :class:`~repro.service.problems.JoinOrderAdapter` over it,
-so the whole fallback chain, compilation cache and result cache work
-unchanged.  Its fingerprint hashes the derived graph (under the
-``sql`` kind), so textually different queries that induce the same
-join-ordering problem share cache entries.
+so the whole fallback chain and compilation cache work unchanged.
+Its fingerprint hashes the derived graph (under the ``sql`` kind), so
+textually different queries that induce the same join-ordering problem
+share a compiled entry and a solve seed, and are served the same plan.
 
 Importing this module registers the ``sql`` problem kind with the
 service and the ``sql_query``/``catalog`` payload kinds with

@@ -82,6 +82,13 @@ class TestCommands:
         assert code == 0
         assert "direct encoding: 16 qubits" in capsys.readouterr().out
 
+    def test_optimize_prints_cache_line(self, capsys):
+        argv = ["optimize", "--problem", "mqo", "--queries", "4", "--seed", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # one direct solve: no result-cache lookup, one compile miss
+        assert "cache: result hits 0/0 (0.0%), compile hits 0" in out
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         assert "repro.qubo" in capsys.readouterr().out

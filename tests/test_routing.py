@@ -29,7 +29,7 @@ from repro.routing import (
     routing_section,
 )
 from repro.routing.router import _FIT_FRACTION, _MIN_STAGE_WEIGHT
-from repro.service import OptimizationRequest, OptimizationService
+from repro.service import BatchScheduler, OptimizationRequest, OptimizationService
 from repro.service.chain import ChainOutcome, default_policy
 from repro.service.metrics import Metrics
 from repro.service.problems import make_adapter
@@ -292,8 +292,9 @@ class TestRoutedService:
         make = lambda rid: OptimizationRequest(  # noqa: E731
             request_id=rid, kind="mqo", problem=problem, deadline_ms=5_000.0
         )
-        first = service.optimize(make("a"))
-        second = service.optimize(make("b"))
+        with BatchScheduler(service, workers=1) as scheduler:
+            first = scheduler.submit(make("a")).result()
+            second = scheduler.submit(make("b")).result()
         assert not first.cache_hit and second.cache_hit
         assert (first.plan, first.cost) == (second.plan, second.cost)
 
@@ -313,11 +314,12 @@ class TestRoutedService:
         # at n=12 hybrid's prior (5.12 ms) exceeds 0.8 × 6 ms, greedy's
         # (0.086 ms) does not; greedy finishes untruncated, so its
         # answer is cached
-        tight = routed.optimize(make("tight", 6.0))
-        assert tight.stage_trace[0]["stage"] == "greedy"
-        assert not tight.deadline_exceeded
-        assert routed.optimize(make("tight-again", 6.0)).cache_hit
-        loose = routed.optimize(make("loose", 5_000.0))
+        with BatchScheduler(routed, workers=1) as scheduler:
+            tight = scheduler.submit(make("tight", 6.0)).result()
+            assert tight.stage_trace[0]["stage"] == "greedy"
+            assert not tight.deadline_exceeded
+            assert scheduler.submit(make("tight-again", 6.0)).result().cache_hit
+            loose = scheduler.submit(make("loose", 5_000.0)).result()
         assert not loose.cache_hit
         assert loose.stage_trace[0]["stage"] == "hybrid"
         reference = static.optimize(make("static", 5_000.0))

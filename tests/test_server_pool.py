@@ -176,10 +176,10 @@ class ResultCacheContract:
     """Repeats of a finished request are answered by the scheduler.
 
     Shared by both backends (each ``Test*`` subclass pins ``backend``).
-    The scheduler stores exactly what the service's own result cache
-    would (``ok``, untruncated, positive deadline) under the coalesce
-    key, and a hit must be indistinguishable from a service-side hit
-    apart from ``request_id`` and ``elapsed_ms``.
+    The scheduler holds the only result cache: it stores deterministic
+    answers (``ok``, untruncated, positive deadline) under the coalesce
+    key, and a hit must be indistinguishable from the stored answer
+    apart from ``request_id``, ``elapsed_ms`` and ``cache_hit``.
     """
 
     backend = ""
@@ -219,19 +219,25 @@ class ResultCacheContract:
         assert self.service_ok(stats) == [1]
 
     def test_parent_hit_matches_worker_hit_field_for_field(self):
-        # the service's result key ignores the deadline but the coalesce
-        # key does not: a new deadline misses the scheduler and hits the
-        # service, the original deadline then hits the scheduler
+        # the coalesce key holds the deadline but the solve seed does
+        # not: a new deadline misses and re-solves to the same answer,
+        # the original deadline then hits the stored worker answer
         request = mqo_request("fields", seed=402)
         with self.scheduler() as scheduler:
-            served(scheduler, request)
-            worker_hit = served(scheduler, replace(request, deadline_ms=600.0))
+            worker_answer = served(scheduler, request)
+            resolved = served(scheduler, replace(request, deadline_ms=600.0))
             parent_hit = served(scheduler, request)
-            hits = scheduler.stats()["scheduler"]["result_cache"]["hits"]
-        assert hits == 1
-        assert worker_hit.cache_hit and parent_hit.cache_hit
+            stats = scheduler.stats()
+        assert stats["scheduler"]["result_cache"]["hits"] == 1
+        assert not resolved.cache_hit and parent_hit.cache_hit
+        assert (resolved.plan, resolved.cost, resolved.served_by) == (
+            worker_answer.plan,
+            worker_answer.cost,
+            worker_answer.served_by,
+        )
+        assert self.service_ok(stats) == [2]
         assert replace(parent_hit, elapsed_ms=0.0) == replace(
-            worker_hit, request_id=request.request_id, elapsed_ms=0.0
+            worker_answer, cache_hit=True, elapsed_ms=0.0
         )
 
     def test_hit_gets_its_own_plan_copy(self):
@@ -282,7 +288,7 @@ class ResultCacheContract:
             served(scheduler, request)
             again = served(scheduler, request)
             stats = scheduler.stats()
-        assert again.cache_hit  # the service's own cache answered
+        assert not again.cache_hit  # no key, so no cache: the service re-solved
         assert stats["scheduler"]["result_cache"]["size"] == 0
         assert stats["scheduler"]["result_cache"]["hits"] == 0
         assert self.service_ok(stats) == [2]
@@ -348,6 +354,33 @@ class ResultCacheContract:
         assert worker_ok + parent_hits == served_ok
         assert served_ok + section["coalesce"]["hits"] == len(results)
         assert section["result_cache"]["size"] == len(problems)
+
+    def test_coalesced_follower_is_not_a_result_miss(self):
+        # a generous deadline keeps the slow primary in flight while its
+        # duplicate is submitted, so the duplicate coalesces
+        slow = mqo_request("primary", seed=440, deadline_ms=60_000.0, size=(10, 4))
+        other = mqo_request("other", seed=441)
+        with self.scheduler() as scheduler:
+            futures = [scheduler.submit(r) for r in (slow, slow.with_id("follower"), other)]
+            results = [future.result(timeout=120.0) for future in futures]
+            again = served(scheduler, other.with_id("other-again"))
+            stats = scheduler.stats()
+        assert all(r.status == "ok" for r in results) and again.cache_hit
+        counters, section = stats["counters"], stats["scheduler"]
+        assert section["coalesce"]["hits"] == 1
+        # misses count dispatched primaries only: slow and other
+        assert counters["cache.result_misses"] == section["coalesce"]["misses"] == 2
+        assert counters["cache.result_hits"] == section["result_cache"]["hits"] == 1
+        assert self.service_ok(stats) == [2]
+
+    def test_each_answer_stored_once(self):
+        requests = distinct_stream(5, seed=WORKLOAD_SEED + 3, deadline_ms=500.0)
+        with self.scheduler() as scheduler:
+            scheduler.run(requests)
+            stats = scheduler.stats()
+        assert "results" not in stats["cache"]
+        assert stats["scheduler"]["result_cache"]["size"] == len(requests)
+
 
 class TestParentResultCache(ResultCacheContract):
     """The process pool answers repeats in the parent, without IPC."""
@@ -453,6 +486,9 @@ class TestServiceConfig:
 
         config = ServiceConfig(policy=parse_policy("tabu,greedy"), seed=9)
         assert ServiceConfig.from_dict(config.to_dict()) == config
+        # a config written before compiled_capacity became a constant
+        old = dict(config.to_dict(), compiled_capacity=256)
+        assert ServiceConfig.from_dict(old) == config
 
     def test_default_warmup_covers_registered_kinds(self):
         kinds = {request.kind for request in default_warmup_requests()}
@@ -555,6 +591,24 @@ class TestDeadWorkerRecovery:
         assert [r.request_id for r in results] == [r.request_id for r in requests]
         assert all(r.status == "ok" and r.valid for r in results)
         assert all(r.status == "ok" and r.valid for r in late_results)
+
+    def test_dead_worker_counters_stay_in_stats(self):
+        requests = distinct_stream(
+            6, seed=WORKLOAD_SEED + 4, deadline_ms=2000.0, sql_fraction=0.0
+        )
+        with ProcessPoolScheduler(
+            config=ServiceConfig(seed=WORKLOAD_SEED), workers=2, warmup=[]
+        ) as scheduler:
+            scheduler.run(requests)
+            before = scheduler.stats()
+            scheduler._processes[0].kill()
+            scheduler._processes[0].join(timeout=30.0)
+            after = scheduler.stats()
+        assert before["counters"]["requests_ok"] == len(requests)
+        for name, value in before["counters"].items():
+            assert after["counters"].get(name, 0) >= value, name
+        assert after["histograms"]["latency_ms"]["count"] >= len(requests)
+        assert [w["worker"] for w in after["scheduler"]["per_worker"]] == [0, 1]
 
     def test_no_live_workers_raises_typed_error(self):
         (request,) = distinct_stream(

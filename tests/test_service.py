@@ -230,8 +230,9 @@ class TestDeadlineSemantics:
 class TestService:
     def test_result_cache_replays_identical_answer(self, mqo_problem):
         service = OptimizationService(seed=0)
-        first = service.optimize(mqo_request(mqo_problem))
-        second = service.optimize(mqo_request(mqo_problem, request_id="r2"))
+        with BatchScheduler(service, workers=1) as scheduler:
+            first = scheduler.submit(mqo_request(mqo_problem)).result()
+            second = scheduler.submit(mqo_request(mqo_problem, request_id="r2")).result()
         assert not first.cache_hit
         assert second.cache_hit
         assert second.plan == first.plan
@@ -245,13 +246,13 @@ class TestService:
             mqo_request(mqo_problem, request_id="r2", policy=parse_policy("tabu"))
         )
         assert service.metrics.counter("cache.compile_hits") == 1
-        # different policy → different result key → no result-cache hit
+        # optimize() caches no results: only the compiled entry is shared
         assert service.metrics.counter("cache.result_hits") == 0
 
     def test_truncated_results_not_cached(self, mqo_problem):
-        service = OptimizationService(seed=0)
-        service.optimize(mqo_request(mqo_problem, deadline_ms=0.0))
-        assert service.cache.stats()["results"]["size"] == 0
+        with BatchScheduler(OptimizationService(seed=0), workers=1) as scheduler:
+            scheduler.submit(mqo_request(mqo_problem, deadline_ms=0.0)).result()
+            assert scheduler.stats()["scheduler"]["result_cache"]["size"] == 0
 
     def test_identical_problems_share_plans_regardless_of_id(self, join_graph):
         service = OptimizationService(seed=3)
@@ -272,7 +273,7 @@ class TestService:
         assert stats["counters"]["requests_total"] == 1
         assert stats["counters"]["requests_ok"] == 1
         assert stats["histograms"]["latency_ms"]["count"] == 1
-        assert "compiled" in stats["cache"] and "results" in stats["cache"]
+        assert list(stats["cache"]) == ["compiled"]
 
     #: SHA-256 of the plans served below; a change means the miss path (QUBO
     #: build, compile, chain stages) serves different plans -- do not re-pin
@@ -460,17 +461,18 @@ class TestMetricsUnderLoad:
         serialization.to_jsonable(stats)  # must not raise
 
     def test_cache_hit_counters_across_repeated_requests(self, mqo_problem):
-        """Three identical requests: one miss, then two hits on both the
-        compile cache and the result cache."""
+        """Three identical requests: one result-cache miss, then two hits
+        that never reach the service's compile cache."""
         service = OptimizationService(seed=0)
-        results = [
-            service.optimize(mqo_request(mqo_problem, request_id=f"r{i}"))
-            for i in range(3)
-        ]
+        with BatchScheduler(service, workers=1) as scheduler:
+            results = [
+                scheduler.submit(mqo_request(mqo_problem, request_id=f"r{i}")).result()
+                for i in range(3)
+            ]
         assert [r.cache_hit for r in results] == [False, True, True]
         assert service.metrics.counter("cache.result_hits") == 2
         assert service.metrics.counter("cache.result_misses") == 1
-        assert service.metrics.counter("cache.compile_hits") == 2
+        assert service.metrics.counter("cache.compile_hits") == 0
         assert service.metrics.counter("cache.compile_misses") == 1
         assert results[1].plan == results[0].plan
         assert results[2].plan == results[0].plan
@@ -642,31 +644,25 @@ class TestMergeableState:
 
         merged = merge_cache_stats(
             [
-                {
-                    "compiled": {"size": 2, "capacity": 4, "hits": 8, "misses": 2},
-                    "results": {"size": 1, "capacity": 4, "hits": 0, "misses": 10},
-                },
-                {
-                    "compiled": {"size": 1, "capacity": 4, "hits": 2, "misses": 8},
-                    "results": {"size": 3, "capacity": 4, "hits": 10, "misses": 0},
-                },
+                {"compiled": {"size": 2, "capacity": 4, "hits": 8, "misses": 2}},
+                {"compiled": {"size": 1, "capacity": 4, "hits": 2, "misses": 8}},
             ]
         )
         assert merged["compiled"]["hits"] == 10
         assert merged["compiled"]["misses"] == 10
         assert merged["compiled"]["hit_rate"] == pytest.approx(0.5)
-        assert merged["results"]["hit_rate"] == pytest.approx(0.5)
-        assert merged["results"]["size"] == 4
+        assert merged["compiled"]["size"] == 3
+        assert merged["compiled"]["capacity"] == 8
 
     def test_cache_reset_counters_keeps_entries(self, mqo_problem):
         service = OptimizationService(seed=0)
         service.optimize(mqo_request(mqo_problem))
         service.optimize(mqo_request(mqo_problem, request_id="r2"))
-        assert service.cache.stats()["results"]["hits"] >= 1
+        assert service.cache.stats()["compiled"]["hits"] >= 1
         service.cache.reset_counters()
         stats = service.cache.stats()
-        assert stats["results"]["hits"] == 0 and stats["results"]["misses"] == 0
-        assert stats["results"]["size"] >= 1  # warm entries survive
+        assert stats["compiled"]["hits"] == 0 and stats["compiled"]["misses"] == 0
+        assert stats["compiled"]["size"] >= 1  # warm entries survive
         # and the surviving entry still answers
-        replay = service.optimize(mqo_request(mqo_problem, request_id="r3"))
-        assert replay.cache_hit
+        service.optimize(mqo_request(mqo_problem, request_id="r3"))
+        assert service.cache.stats()["compiled"]["hits"] == 1
