@@ -21,53 +21,45 @@ Measures the two layers the compiled representation accelerates:
   ``best_energy`` is recorded so two trees' tables can be checked for
   identical results.
 
-Results go to ``BENCH_kernels.json`` at the repository root so
-successive PRs can track kernel throughput.  ``--smoke`` runs a tiny
-instance as a CI health check (seconds, not minutes) and still asserts
-the compiled path wins; it uses 32 reads, since the compiled kernel is
-batched over reads and 8 left it near parity with the dict loop.  Its
-one tabu point has no timing gate.  A smoke
-run writes a report only when ``--output`` is given.
-
-The repository's ``src`` goes at the *end* of ``sys.path``, so a
-``PYTHONPATH`` names the tree under test: run the same script with
-``PYTHONPATH=<other tree>/src`` to time another commit's kernels.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_kernels.py
-    PYTHONPATH=src python benchmarks/bench_kernels.py --smoke
+``python benchmarks/run.py kernels`` repeats the measurement and writes
+``BENCH_kernels.json``.  ``--smoke`` runs a tiny instance as a CI
+health check (seconds, not minutes) and fails unless the compiled path
+wins; it uses 32 reads, since the compiled kernel is batched over reads
+and 8 left it near parity with the dict loop.  Its one tabu point has
+no timing gate.
 """
 
 from __future__ import annotations
 
-import argparse
-import pathlib
-import sys
 import time
 
 import numpy as np
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.append(str(REPO_ROOT / "src"))
+from repro.hybrid.tabu import TabuSampler
+from repro.qubo.bqm import BinaryQuadraticModel, Vartype
+from repro.qubo.compiled import compile_bqm
 
-from provenance import report_path, write_report  # noqa: E402
-
-from repro.hybrid.tabu import TabuSampler  # noqa: E402
-from repro.qubo.bqm import BinaryQuadraticModel, Vartype  # noqa: E402
-from repro.qubo.compiled import compile_bqm  # noqa: E402
-
-#: (num_variables, interaction density) grid of the full benchmark
+#: (num_variables, interaction density) grid of the sweep and energy points
 FULL_GRID = ((32, 0.5), (64, 0.25), (128, 0.1), (128, 0.5), (256, 0.05))
-SMOKE_GRID = ((24, 0.4),)
 #: (num_variables, interaction density) of the tabu points, each timed
-#: at every read count of TABU_READS
+#: at every read count of ``tabu_reads``
 TABU_GRID = ((16, 0.5), (32, 0.5), (49, 0.45), (128, 0.1), (256, 0.05), (512, 0.02))
-TABU_READS = (2, 10)
-#: timed TabuSampler.sample calls per tabu point (median and quartiles)
-TABU_REPEATS = 5
-SMOKE_TABU_GRID = ((16, 0.5),)
-SMOKE_TABU_READS = (2,)
+FULL = {
+    "num_sweeps": 40,
+    "num_reads": 128,
+    "seed": 11,
+    "grid": FULL_GRID,
+    "tabu_grid": TABU_GRID,
+    "tabu_reads": (2, 10),
+}
+SMOKE = {
+    "num_sweeps": 10,
+    "num_reads": 32,
+    "seed": 11,
+    "grid": ((24, 0.4),),
+    "tabu_grid": ((16, 0.5),),
+    "tabu_reads": (2,),
+}
 
 
 def random_spin_bqm(n: int, density: float, seed: int) -> BinaryQuadraticModel:
@@ -146,9 +138,8 @@ def compiled_sweeps(compiled, num_sweeps: int, num_reads: int, seed: int) -> np.
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
-def bench_point(
-    n: int, density: float, num_sweeps: int, num_reads: int, seed: int
-) -> dict:
+def bench_point(n: int, density: float, num_sweeps: int, num_reads: int, seed: int):
+    """Sweep and energy timings of one model: ``(timings, info)``."""
     bqm = random_spin_bqm(n, density, seed)
 
     start = time.perf_counter()
@@ -178,116 +169,74 @@ def bench_point(
     if not np.allclose(dict_energies, fast_energies, atol=1e-6):
         raise AssertionError("compiled energies diverged from the dict model")
 
-    return {
+    timings = {
+        "compile_ms": 1e3 * compile_s,
+        "dict_sweeps_per_s": total_sweeps / dict_s,
+        "compiled_sweeps_per_s": total_sweeps / compiled_s,
+        "sweep_speedup": dict_s / compiled_s,
+        "dict_energies_per_s": len(samples) / dict_energy_s,
+        "compiled_energies_per_s": len(samples) / compiled_energy_s,
+        "energy_speedup": dict_energy_s / compiled_energy_s,
+    }
+    info = {
         "num_variables": n,
         "density": density,
         "num_interactions": compiled.num_interactions,
-        "num_sweeps": num_sweeps,
-        "num_reads": num_reads,
-        "compile_s": round(compile_s, 5),
-        "sweeps_per_s": {
-            "dict": round(total_sweeps / dict_s, 1),
-            "compiled": round(total_sweeps / compiled_s, 1),
-        },
-        "sweep_speedup": round(dict_s / compiled_s, 2),
-        "energies_per_s": {
-            "dict": round(len(samples) / dict_energy_s, 1),
-            "compiled": round(len(samples) / compiled_energy_s, 1),
-        },
-        "energy_speedup": round(dict_energy_s / compiled_energy_s, 2),
     }
+    return timings, info
 
 
-def bench_tabu(n: int, density: float, num_reads: int, repeats: int, seed: int) -> dict:
+def bench_tabu(n: int, density: float, num_reads: int, seed: int):
+    """Milliseconds of one ``TabuSampler.sample`` call: ``(ms, info)``."""
     bqm = random_spin_bqm(n, density, seed)
     compiled = compile_bqm(bqm)
     sampler = TabuSampler(seed=seed)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = sampler.sample(bqm, num_reads=num_reads, compiled=compiled)
-        times.append(time.perf_counter() - start)
-    q1, median, q3 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
-    return {
+    start = time.perf_counter()
+    result = sampler.sample(bqm, num_reads=num_reads, compiled=compiled)
+    ms = 1e3 * (time.perf_counter() - start)
+    info = {
         "num_variables": n,
         "density": density,
         "num_interactions": compiled.num_interactions,
         "num_reads": num_reads,
-        "repeats": repeats,
-        "ms_p50": round(float(median), 3),
-        "ms_q1": round(float(q1), 3),
-        "ms_q3": round(float(q3), 3),
         "best_energy": float(result.first.energy),
     }
+    return ms, info
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny instance only; assert the compiled kernel wins",
-    )
-    parser.add_argument("--sweeps", type=int, default=None)
-    parser.add_argument("--reads", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument(
-        "--output", default=None,
-        help="where to write the JSON report (default: BENCH_kernels.json "
-        "for full runs; a smoke run writes only when this is given)",
-    )
-    args = parser.parse_args(argv)
-
-    grid = SMOKE_GRID if args.smoke else FULL_GRID
-    num_sweeps = args.sweeps if args.sweeps is not None else (10 if args.smoke else 40)
-    num_reads = args.reads if args.reads is not None else (32 if args.smoke else 128)
-
+def measure(smoke: bool):
+    """One pass over the sweep grid and the tabu grid; a smoke run fails
+    if the compiled kernel is slower than the dict loop anywhere."""
+    config = SMOKE if smoke else FULL
+    seed = config["seed"]
+    timings = {}
     points = []
-    for n, density in grid:
-        point = bench_point(n, density, num_sweeps, num_reads, args.seed)
-        points.append(point)
+    slow = []
+    for n, density in config["grid"]:
+        point, info = bench_point(
+            n, density, config["num_sweeps"], config["num_reads"], seed
+        )
+        key = f"n{n}_d{density:g}"
+        timings.update({f"{key}.{name}": value for name, value in point.items()})
+        points.append(info)
+        if point["sweep_speedup"] < 1.0:
+            slow.append(key)
         print(
-            f"n={n} density={density:g}: "
-            f"{point['sweeps_per_s']['dict']:.0f} -> "
-            f"{point['sweeps_per_s']['compiled']:.0f} sweeps/s "
+            f"{key}: {point['dict_sweeps_per_s']:.0f} -> "
+            f"{point['compiled_sweeps_per_s']:.0f} sweeps/s "
             f"({point['sweep_speedup']:.1f}x), energies "
             f"{point['energy_speedup']:.1f}x"
         )
 
-    tabu_grid = SMOKE_TABU_GRID if args.smoke else TABU_GRID
-    tabu_reads = SMOKE_TABU_READS if args.smoke else TABU_READS
-    tabu_repeats = 1 if args.smoke else TABU_REPEATS
     tabu = []
-    for n, density in tabu_grid:
-        for reads in tabu_reads:
-            point = bench_tabu(n, density, reads, tabu_repeats, args.seed)
-            tabu.append(point)
-            print(
-                f"tabu n={n} density={density:g} reads={reads}: "
-                f"{point['ms_p50']:.2f} ms "
-                f"(IQR {point['ms_q1']:.2f}-{point['ms_q3']:.2f})"
-            )
+    for n, density in config["tabu_grid"]:
+        for reads in config["tabu_reads"]:
+            ms, info = bench_tabu(n, density, reads, seed)
+            timings[f"tabu.n{n}_d{density:g}.reads{reads}_ms"] = ms
+            tabu.append(info)
+            print(f"tabu n={n} density={density:g} reads={reads}: {ms:.2f} ms")
 
-    if args.smoke:
-        slow = [p for p in points if p["sweep_speedup"] < 1.0]
-        if slow:
-            print("FAIL: compiled kernel slower than the dict loop", file=sys.stderr)
-            return 1
-        print("smoke ok: compiled kernel faster on every point")
-
-    write_report(
-        report_path(args.output, args.smoke, "BENCH_kernels.json"),
-        "kernels",
-        {
-            "num_sweeps": num_sweeps,
-            "num_reads": num_reads,
-            "seed": args.seed,
-            "tabu_repeats": tabu_repeats,
-            "smoke": args.smoke,
-        },
-        {"points": points, "tabu": tabu},
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    failure = None
+    if smoke and slow:
+        failure = f"compiled kernel slower than the dict loop at {', '.join(slow)}"
+    return timings, {"points": points, "tabu": tabu}, failure

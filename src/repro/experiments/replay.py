@@ -81,7 +81,7 @@ def run_replay_experiment(
     ``workers`` parallelizes grid points (harness convention);
     ``scheduler_workers`` is the worker count *inside* each scheduler.
     The full-scale run (10^5+ requests per backend) lives in
-    ``benchmarks/bench_replay.py`` → ``BENCH_replay.json``; this
+    ``benchmarks/run.py replay`` → ``BENCH_replay.json``; this
     experiment is its CI-sized counterpart.
     """
     workers = resolve_workers(workers)

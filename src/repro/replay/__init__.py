@@ -11,7 +11,7 @@ and client-side tail latency.
 
 Entry points: ``python -m repro replay`` (CLI),
 :func:`replay_stream` + :func:`run_replay` (library), the ``replay``
-experiment, and ``benchmarks/bench_replay.py`` → ``BENCH_replay.json``.
+experiment, and ``benchmarks/run.py replay`` → ``BENCH_replay.json``.
 """
 
 from .driver import ReplayReport, run_replay

@@ -7,10 +7,11 @@ calibrated from the stage latencies of the 64-request serving
 benchmark of commit 35c5f5e (hybrid ≈ 8 ms, tabu ≈ 2 ms, sa ≈ 1.5 ms,
 greedy ≈ 0.4 ms on serving-sized problems).
 
-The model holds no state and does not learn: an ablation over
-``benchmarks/bench_routing.py``'s 10 seeds found that online runtime
-regression, a validity predictor and runtime-bucketed budget weights
-each missed as many deadlines as the fixed prior or more (see the
+The model holds no state and does not learn: an ablation over the 10
+seeds of the routing benchmark (``benchmarks/run.py routing``) found
+that online runtime regression, a validity predictor and
+runtime-bucketed budget weights each missed as many deadlines as the
+fixed prior or more (see the
 "Routing benchmark" section of ``EXPERIMENTS.md``).  A routing
 decision is therefore a pure function of QUBO size and deadline.
 """

@@ -16,6 +16,8 @@ Design decisions worth knowing:
   (``optimization_request`` / ``optimization_result`` payloads), the
   exact same encoding used for files and the HTTP gateway.  No pickle
   of live solver objects, so workers can never observe parent state.
+  Each worker replies on its own pipe: no lock is shared between
+  workers, so a crashed worker cannot block the others' replies.
 * **Determinism across worker counts** — solve seeds derive from the
   problem's content fingerprint (service contract), so which worker
   executes a request is irrelevant: the same request stream yields
@@ -45,8 +47,8 @@ Design decisions worth knowing:
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_mod
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -190,32 +192,33 @@ def _worker_main(
     config_data: Dict[str, Any],
     warmup_texts: Sequence[str],
     task_queue,
-    result_queue,
+    results,
 ) -> None:
-    """One worker process: build a service, warm it, serve the queue."""
+    """One worker process: build a service, warm it, serve the queue.
+
+    Replies go to ``results``, the write end of this worker's own pipe.
+    """
     service = ServiceConfig.from_dict(config_data).build()
     warm_up(service, [serialization.loads(text) for text in warmup_texts])
-    result_queue.put(("ready", worker_index, os.getpid()))
+    results.send(("ready", worker_index, os.getpid()))
     while True:
         item = task_queue.get()
         if item is None:
-            result_queue.put(("bye", worker_index, None))
+            results.send(("bye", worker_index, None))
             return
         tag, task_id, payload = item
         if tag == "stats":
             state = service.state()
             state["worker"] = worker_index
             state["pid"] = os.getpid()
-            result_queue.put(("stats", task_id, state))
+            results.send(("stats", task_id, state))
             continue
         try:
             request = serialization.loads(payload)
             result = service.optimize(request)
-            result_queue.put(
-                ("result", task_id, serialization.dumps(result, indent=None))
-            )
+            results.send(("result", task_id, serialization.dumps(result, indent=None)))
         except Exception as exc:  # noqa: BLE001 — ship failure, keep serving
-            result_queue.put(("error", task_id, f"{type(exc).__name__}: {exc}"))
+            results.send(("error", task_id, f"{type(exc).__name__}: {exc}"))
 
 
 # ----------------------------------------------------------------------
@@ -271,13 +274,14 @@ class ProcessPoolScheduler(SchedulerBase):
             serialization.dumps(request, indent=None) for request in warmup_requests
         ]
 
-        self._result_queue = ctx.Queue()
         self._task_queues = [ctx.Queue() for _ in range(self.workers)]
         #: task_id -> (future, target worker, serialized request, retries).
         #: The payload stays here so a request stranded on a crashed
         #: worker can be re-enqueued verbatim on a live one.
         self._pending: Dict[int, Tuple[Future, int, str, int]] = {}
-        self._stats_waiters: Dict[int, Future] = {}
+        #: task_id -> (polled worker, future); the reaper fails a dead
+        #: worker's entries so a stats poll never waits on a corpse
+        self._stats_waiters: Dict[int, Tuple[int, Future]] = {}
         self._next_task = 0
         self._round_robin = 0
         self._final_states: Optional[List[Dict[str, Any]]] = None
@@ -289,23 +293,25 @@ class ProcessPoolScheduler(SchedulerBase):
         self._said_bye = [False] * self.workers
 
         config_data = self.config.to_dict()
-        self._processes = [
-            ctx.Process(
+        #: one reply pipe per worker, not a shared queue: a shared
+        #: queue's cross-process write lock, still held by a worker killed
+        #: just after a reply, blocks every other worker's replies for good
+        self._result_readers = []
+        self._processes = []
+        for index in range(self.workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            process = ctx.Process(
                 target=_worker_main,
-                args=(
-                    index,
-                    config_data,
-                    warmup_texts,
-                    self._task_queues[index],
-                    self._result_queue,
-                ),
+                args=(index, config_data, warmup_texts, self._task_queues[index], writer),
                 daemon=True,
                 name=f"repro-serve-{index}",
             )
-            for index in range(self.workers)
-        ]
-        for process in self._processes:
             process.start()
+            # the worker holds the only write end (later forks must not
+            # inherit it), so its death reads as EOF, even mid-message
+            writer.close()
+            self._result_readers.append(reader)
+            self._processes.append(process)
         self._collector = threading.Thread(
             target=self._collect, daemon=True, name="repro-serve-collector"
         )
@@ -410,36 +416,48 @@ class ProcessPoolScheduler(SchedulerBase):
     # ------------------------------------------------------------------
     def _collect(self) -> None:
         """Parent collector thread: route worker messages to futures."""
+        readers = list(self._result_readers)
         while True:
-            try:
-                message = self._result_queue.get(timeout=0.25)
-            except queue_mod.Empty:
+            ready = multiprocessing.connection.wait(readers, timeout=0.25)
+            if not ready:
                 if self._closed and not any(p.is_alive() for p in self._processes):
                     return
                 self._reap_dead_workers()
                 continue
-            tag, ident, payload = message
-            if tag == "ready":
-                self._ready_count += 1
-                if self._ready_count >= self.workers:
-                    self._ready.set()
-            elif tag == "bye":
-                self._said_bye[ident] = True
-                self._live -= 1
-                if self._closed and self._live <= 0:
+            for reader in ready:
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):  # the worker exited or died
+                    readers.remove(reader)
+                    continue
+                if self._route(message):
                     return
-            elif tag == "result":
-                entry = self._pending.pop(ident, None)
-                if entry is not None:
-                    entry[0].set_result(serialization.loads(payload))
-            elif tag == "error":
-                entry = self._pending.pop(ident, None)
-                if entry is not None:
-                    entry[0].set_exception(SolverError(f"worker failed: {payload}"))
-            elif tag == "stats":
-                waiter = self._stats_waiters.pop(ident, None)
-                if waiter is not None:
-                    waiter.set_result(payload)
+
+    def _route(self, message: Tuple[str, int, Any]) -> bool:
+        """Settle the future ``message`` answers; true once the collector
+        should stop (every worker said goodbye after shutdown)."""
+        tag, ident, payload = message
+        if tag == "ready":
+            self._ready_count += 1
+            if self._ready_count >= self.workers:
+                self._ready.set()
+        elif tag == "bye":
+            self._said_bye[ident] = True
+            self._live -= 1
+            return self._closed and self._live <= 0
+        elif tag == "result":
+            entry = self._pending.pop(ident, None)
+            if entry is not None:
+                entry[0].set_result(serialization.loads(payload))
+        elif tag == "error":
+            entry = self._pending.pop(ident, None)
+            if entry is not None:
+                entry[0].set_exception(SolverError(f"worker failed: {payload}"))
+        elif tag == "stats":
+            entry = self._stats_waiters.pop(ident, None)
+            if entry is not None:
+                entry[1].set_result(payload)
+        return False
 
     def _reap_dead_workers(self) -> None:
         """Recover requests routed to a worker that died without a goodbye.
@@ -450,6 +468,8 @@ class ProcessPoolScheduler(SchedulerBase):
         a re-execution is bit-identical).  A request whose retry also
         crashes, or one stranded when no live worker remains, fails with
         a typed :class:`WorkerCrashError` instead of hanging forever.
+        A stats poll waiting on the dead worker fails the same way, so
+        :meth:`_poll_worker_states` falls back to its last state at once.
         """
         for index, process in enumerate(self._processes):
             if process.is_alive() or self._said_bye[index]:
@@ -462,10 +482,17 @@ class ProcessPoolScheduler(SchedulerBase):
                     for task_id, entry in list(self._pending.items())
                     if entry[1] == index
                 ]
+                polls = [
+                    self._stats_waiters.pop(task_id)[1]
+                    for task_id, entry in list(self._stats_waiters.items())
+                    if entry[0] == index
+                ]
             reason = (
                 f"worker {index} (pid {process.pid}) died with exit code "
                 f"{process.exitcode}"
             )
+            for waiter in polls:
+                waiter.set_exception(WorkerCrashError(reason))
             for task_id, (future, _target, payload, retries) in stranded:
                 self._requeue(task_id, future, payload, retries, reason)
 
@@ -506,7 +533,7 @@ class ProcessPoolScheduler(SchedulerBase):
                 task_id = self._next_task
                 self._next_task += 1
                 waiter: Future = Future()
-                self._stats_waiters[task_id] = waiter
+                self._stats_waiters[task_id] = (index, waiter)
                 self._task_queues[index].put(("stats", task_id, None))
                 waiters.append((index, task_id, waiter))
         for index, task_id, waiter in waiters:

@@ -7,9 +7,14 @@ so the CLI can dump a stats block after a run and tests can assert on
 exact counter values.
 
 Percentiles use the nearest-rank method on the recorded values; the
-per-histogram sample buffer is capped (default 65536 observations) to
-bound memory on long-lived services — far above anything the bench
-driver produces, so snapshots in this repo are exact.
+per-histogram sample buffer keeps the first 65536 observations and
+drops later ones, to bound memory on long-lived services.  Long runs
+do reach the cap: a full replay benchmark on the thread backend records
+100,000 latencies in one service's ``latency_ms``, so that snapshot's
+percentiles cover only the first 65536.  The replay report's client-side
+percentiles come from the driver's own 200,000-value histogram
+(:func:`repro.replay.run_replay`) instead.  ROADMAP item 4 replaces
+the buffer with mergeable fixed buckets.
 
 For multi-process serving (:mod:`repro.server.pool`) metrics must be
 *mergeable*: each worker process keeps its own :class:`Metrics`, ships

@@ -610,6 +610,39 @@ class TestDeadWorkerRecovery:
         assert after["histograms"]["latency_ms"]["count"] >= len(requests)
         assert [w["worker"] for w in after["scheduler"]["per_worker"]] == [0, 1]
 
+    @pytest.mark.parametrize("poll", ["stats", "shutdown"])
+    def test_poll_right_after_kill_does_not_wait_on_the_corpse(self, poll):
+        # no join: the killed worker can still look alive when the poll
+        # puts its stats task, which nobody will ever answer; and the
+        # kill can land just after its last reply, which must not block
+        # the surviving worker's replies
+        requests = distinct_stream(
+            8, seed=WORKLOAD_SEED + 5, deadline_ms=2000.0, sql_fraction=0.0
+        )
+        scheduler = ProcessPoolScheduler(
+            config=ServiceConfig(seed=WORKLOAD_SEED), workers=2, warmup=[]
+        )
+        try:
+            scheduler.run(requests[:6])
+            before = scheduler.stats()
+            scheduler._processes[0].kill()
+            start = time.perf_counter()
+            if poll == "stats":
+                after = scheduler.stats()
+            else:
+                scheduler.shutdown()
+                after = scheduler.stats()
+            elapsed = time.perf_counter() - start
+            if poll == "stats":
+                late = [scheduler.submit(request) for request in requests[6:]]
+                assert all(f.result(timeout=10.0).status == "ok" for f in late)
+        finally:
+            scheduler.shutdown()
+        assert elapsed < 5.0
+        for name, value in before["counters"].items():
+            assert after["counters"].get(name, 0) >= value, name
+        assert after["histograms"]["latency_ms"]["count"] >= 6
+
     def test_no_live_workers_raises_typed_error(self):
         (request,) = distinct_stream(
             1, seed=WORKLOAD_SEED + 2, deadline_ms=2000.0, sql_fraction=0.0
