@@ -23,8 +23,8 @@ def _load_runner():
 
 @pytest.mark.parametrize("name", ["kernels", "sql", "replay", "routing"])
 def test_smoke_leaves_committed_report_untouched(name, tmp_path):
-    committed = ROOT / f"BENCH_{name}.json"
-    before = committed.read_bytes()
+    committed = {path: path.read_bytes() for path in ROOT.glob("BENCH_*.json")}
+    assert ROOT / f"BENCH_{name}.json" in committed
     out = tmp_path / "smoke.json"
     try:
         bare = subprocess.run(
@@ -32,15 +32,16 @@ def test_smoke_leaves_committed_report_untouched(name, tmp_path):
             cwd=ROOT, capture_output=True, text=True, timeout=300,
         )
         assert bare.returncode == 0, bare.stderr
-        assert committed.read_bytes() == before
+        assert {path: path.read_bytes() for path in committed} == committed
         explicit = subprocess.run(
             [sys.executable, str(RUNNER), name, "--smoke", "--output", str(out)],
             cwd=ROOT, capture_output=True, text=True, timeout=300,
         )
         assert explicit.returncode == 0, explicit.stderr
-        assert committed.read_bytes() == before
+        assert {path: path.read_bytes() for path in committed} == committed
     finally:
-        committed.write_bytes(before)
+        for path, before in committed.items():
+            path.write_bytes(before)
     report = json.loads(out.read_text())
     assert report["benchmark"] == name
     assert report["config"]["smoke"] is True
