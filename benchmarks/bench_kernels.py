@@ -13,6 +13,15 @@ Measures the two layers the compiled representation accelerates:
 * **energies** — bulk energy evaluation of a sample batch:
   ``BinaryQuadraticModel.energy`` in a loop vs
   ``CompiledBQM.energies`` in one vectorized pass.
+* **cold** — the serving cold path's model layers, dict path against
+  arrays, in milliseconds per request over cold requests of the replay
+  stream (every request a new problem): *build* (``builder.build()``
+  then ``compile_bqm`` vs ``builder.build_compiled()``), *clamp*
+  (``clamp_subproblem`` vs ``CompiledBQM.clamp`` on the first round's
+  energy-impact blocks of ``sub_size`` variables from a seeded random
+  state) and *enumerate* (``brute_force_minimum`` of each clamped
+  block in either form), each the fastest of 3 runs and with its
+  ``speedup`` (dict / arrays).
 * **tabu** — wall time of one ``TabuSampler.sample`` call (the
   sampler's default tenure and stopping rules) per model size and read
   count, as median and quartiles over repeats.  Models up to 49
@@ -24,9 +33,11 @@ Measures the two layers the compiled representation accelerates:
 ``python benchmarks/run.py kernels`` repeats the measurement and writes
 ``BENCH_kernels.json``.  ``--smoke`` runs a tiny instance as a CI
 health check (seconds, not minutes) and fails unless the compiled path
-wins; it uses 32 reads, since the compiled kernel is batched over reads
-and 8 left it near parity with the dict loop.  Its one tabu point has
-no timing gate.
+wins: every sweep and cold-path speedup must be at least 1, a ratio
+that carries across hosts where absolute times do not.  It uses 32
+reads, since the compiled kernel is batched over reads and 8 left it
+near parity with the dict loop.  Its one tabu point has no timing
+gate.
 """
 
 from __future__ import annotations
@@ -35,9 +46,15 @@ import time
 
 import numpy as np
 
+from repro.hybrid.decomposer import clamp_subproblem, energy_impact_indices
 from repro.hybrid.tabu import TabuSampler
+from repro.joinorder.direct_qubo import DirectJoinOrderQubo
+from repro.mqo.qubo import MqoQuboBuilder
 from repro.qubo.bqm import BinaryQuadraticModel, Vartype
 from repro.qubo.compiled import compile_bqm
+from repro.qubo.exact import brute_force_minimum
+from repro.replay import replay_stream
+from repro.sql import plan_query
 
 #: (num_variables, interaction density) grid of the sweep and energy points
 FULL_GRID = ((32, 0.5), (64, 0.25), (128, 0.1), (128, 0.5), (256, 0.05))
@@ -51,6 +68,8 @@ FULL = {
     "grid": FULL_GRID,
     "tabu_grid": TABU_GRID,
     "tabu_reads": (2, 10),
+    "cold_requests": 200,
+    "cold_sub_size": 10,
 }
 SMOKE = {
     "num_sweeps": 10,
@@ -59,6 +78,8 @@ SMOKE = {
     "grid": ((24, 0.4),),
     "tabu_grid": ((16, 0.5),),
     "tabu_reads": (2,),
+    "cold_requests": 20,
+    "cold_sub_size": 10,
 }
 
 
@@ -204,6 +225,72 @@ def bench_tabu(n: int, density: float, num_reads: int, seed: int):
     return ms, info
 
 
+def _builder(request):
+    """The QUBO builder a cold request of any kind compiles through."""
+    if request.kind == "mqo":
+        return MqoQuboBuilder(request.problem)
+    graph = plan_query(request.problem).graph if request.kind == "sql" else request.problem
+    return DirectJoinOrderQubo(graph)
+
+
+def _per_request_ms(work, requests: int, best_of: int = 3) -> float:
+    """Fastest of ``best_of`` runs of ``work``, in ms per request."""
+    fastest = float("inf")
+    for _ in range(best_of):
+        start = time.perf_counter()
+        work()
+        fastest = min(fastest, time.perf_counter() - start)
+    return 1e3 * fastest / requests
+
+
+def bench_cold_path(requests: int, sub_size: int, seed: int):
+    """Dict vs array milliseconds per cold request of the build, clamp
+    and enumerate layers: ``(timings, info)``."""
+    stream = replay_stream(requests, seed=seed, unique=10**6, zipf_s=0.0)
+    builders = [_builder(request) for request in stream]
+    timings = {
+        "build.dict_ms": _per_request_ms(
+            lambda: [compile_bqm(b.build()) for b in builders], requests
+        ),
+        "build.arrays_ms": _per_request_ms(
+            lambda: [b.build_compiled() for b in builders], requests
+        ),
+    }
+
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for builder in builders:
+        model, bqm = builder.build_compiled(), builder.build()
+        state = rng.integers(0, 2, model.num_variables).astype(float)
+        sample = model.to_sample(state)
+        for block in energy_impact_indices(model, state, sub_size):
+            blocks.append((model, bqm, block, state, sample))
+    subs = {
+        "dict": lambda: [
+            clamp_subproblem(bqm, [model.variables[i] for i in block], sample)
+            for model, bqm, block, state, sample in blocks
+        ],
+        "arrays": lambda: [
+            model.clamp(block, state) for model, bqm, block, state, sample in blocks
+        ],
+    }
+    optima = {}
+    for form, clamp in subs.items():
+        timings[f"clamp.{form}_ms"] = _per_request_ms(clamp, requests)
+        clamped = clamp()
+        timings[f"enumerate.{form}_ms"] = _per_request_ms(
+            lambda: optima.__setitem__(form, [brute_force_minimum(s) for s in clamped]),
+            requests,
+        )
+    if [r.energy for r in optima["dict"]] != [r.energy for r in optima["arrays"]]:
+        raise AssertionError("array blocks enumerate to other optima than dict blocks")
+    for layer in ("build", "clamp", "enumerate"):
+        timings[f"{layer}.speedup"] = (
+            timings[f"{layer}.dict_ms"] / timings[f"{layer}.arrays_ms"]
+        )
+    return timings, {"requests": requests, "blocks": len(blocks), "sub_size": sub_size}
+
+
 def measure(smoke: bool):
     """One pass over the sweep grid and the tabu grid; a smoke run fails
     if the compiled kernel is slower than the dict loop anywhere."""
@@ -236,7 +323,20 @@ def measure(smoke: bool):
             tabu.append(info)
             print(f"tabu n={n} density={density:g} reads={reads}: {ms:.2f} ms")
 
+    cold, cold_info = bench_cold_path(
+        config["cold_requests"], config["cold_sub_size"], seed
+    )
+    timings.update({f"cold.{name}": value for name, value in cold.items()})
+    for layer in ("build", "clamp", "enumerate"):
+        print(
+            f"cold {layer}: {cold[f'{layer}.dict_ms']:.3f} -> "
+            f"{cold[f'{layer}.arrays_ms']:.3f} ms/request "
+            f"({cold[f'{layer}.speedup']:.1f}x)"
+        )
+        if cold[f"{layer}.speedup"] < 1.0:
+            slow.append(f"cold.{layer}")
+
     failure = None
     if smoke and slow:
-        failure = f"compiled kernel slower than the dict loop at {', '.join(slow)}"
-    return timings, {"points": points, "tabu": tabu}, failure
+        failure = f"arrays slower than the dict path at {', '.join(slow)}"
+    return timings, {"points": points, "tabu": tabu, "cold": cold_info}, failure

@@ -26,6 +26,7 @@ from repro.hybrid.decomposer import (
     clamp_subproblem,
     component_weights,
     flip_energy_gains,
+    greedy_descent,
     pack_components,
     select_by_energy_impact,
     select_by_graph_partition,
@@ -41,7 +42,7 @@ from repro.hybrid.registry import (
     valid_options,
 )
 from repro.hybrid.reconcile import frontier_variables, reconcile_boundary
-from repro.hybrid.solver import DecomposingSolver, SolveResult, greedy_descent
+from repro.hybrid.solver import DecomposingSolver, SolveResult
 from repro.hybrid.tabu import TabuSampler
 
 __all__ = [

@@ -17,9 +17,17 @@ The qbsolv-style decomposition loop needs two primitives:
 * **clamping** — freezing every variable outside the selected block at
   its incumbent value, which folds boundary couplings into the
   subproblem's linear biases and offset
-  (:meth:`~repro.qubo.bqm.BinaryQuadraticModel.fix_variable`), so the
+  (:meth:`~repro.qubo.compiled.CompiledBQM.clamp`), so the
   subproblem's energies equal full-model energies of the patched
   incumbent.
+
+The decomposition loop runs on a :class:`~repro.qubo.compiled.CompiledBQM`
+and state vectors: the ``*_indices`` functions and :func:`flip_gains`
+work on its edge arrays and return variable indices.  The public
+functions without that suffix take a dict model or a compiled one and
+an assignment dict, and return variables; :func:`clamp_subproblem` is
+the dict-model clamp that tests and ``repro verify`` hold the array
+clamp against.
 
 All orderings tie-break on ``str(variable)``, keeping the decomposition
 independent of dict insertion order and ``PYTHONHASHSEED``.
@@ -27,53 +35,83 @@ independent of dict insertion order and ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.exceptions import SolverError
 from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.compiled import CompiledBQM, as_compiled
 
 Variable = Hashable
 Sample = Mapping[Variable, int]
+Model = Union[BinaryQuadraticModel, CompiledBQM]
 
 
-def flip_energy_gains(
-    bqm: BinaryQuadraticModel, sample: Sample
-) -> Dict[Variable, float]:
-    """Energy change of flipping each variable against ``sample``.
+# ----------------------------------------------------------------------
+# Array primitives (variable indices, state vectors)
+# ----------------------------------------------------------------------
+def flip_gains(model: CompiledBQM, state: np.ndarray) -> np.ndarray:
+    """Energy change of flipping each variable of ``state``.
 
     Works in the model's native domain: binary variables toggle 0↔1,
-    spin variables negate.  Negative gain means the flip improves.
+    spin variables negate.  Negative gain means the flip improves.  Each
+    local field sums its couplings in edge order, as the dict walk did.
     """
-    gains: Dict[Variable, float] = dict(bqm.linear)
-    for u, v, bias in bqm.interactions():
-        gains[u] += bias * sample[v]
-        gains[v] += bias * sample[u]
-    lo, hi = bqm.vartype.values
-    out: Dict[Variable, float] = {}
-    for v in bqm.variables:
-        flipped = lo + hi - sample[v]
-        out[v] = (flipped - sample[v]) * gains[v]
-    return out
+    fields = model.linear.copy()
+    ends = np.column_stack((model.edge_u, model.edge_v)).ravel()
+    pulls = np.column_stack(
+        (model.edge_bias * state[model.edge_v], model.edge_bias * state[model.edge_u])
+    ).ravel()
+    np.add.at(fields, ends, pulls)
+    lo, hi = model.vartype.values
+    return (lo + hi - 2.0 * state) * fields
 
 
-def select_by_energy_impact(
-    bqm: BinaryQuadraticModel, sample: Sample, sub_size: int
-) -> List[List[Variable]]:
-    """Blocks of ``sub_size`` variables, most-improving flips first.
+def descend(model: CompiledBQM, state: np.ndarray) -> np.ndarray:
+    """Flip single variables of ``state`` until no flip improves.
+
+    Repeatedly applies the single most-improving flip (ties broken on
+    ``str(var)``), maintaining flip gains incrementally — one flip
+    costs ``O(degree)``, not a full model walk.  Returns a new state.
+    """
+    state = np.array(state, dtype=float)
+    lo, hi = model.vartype.values
+    gains = flip_gains(model, state)
+    order = np.asarray(model.str_order, dtype=np.intp)
+    neighbors, couplings = model.neighbor_index, model.neighbor_bias
+    for _ in range(8 * max(1, model.num_variables)):
+        ranked = gains[order]
+        k = int(np.argmin(ranked))
+        if not ranked[k] < -1e-12:
+            break
+        best = order[k]
+        old = state[best]
+        new = lo + hi - old
+        state[best] = new
+        gains[best] = -gains[best]
+        # gain(u) = (flip_u - x_u) * field_u; field_u shifts by
+        # bias * (new - old) when its neighbour flips
+        near = neighbors[best]
+        gains[near] += (lo + hi - 2.0 * state[near]) * couplings[best] * (new - old)
+    return state
+
+
+def energy_impact_indices(
+    model: CompiledBQM, state: np.ndarray, sub_size: int
+) -> List[List[int]]:
+    """Blocks of ``sub_size`` variable indices, most-improving flips first.
 
     Covers every variable exactly once, so iterating the returned
     blocks is one full round-robin pass over the model.
     """
     if sub_size < 1:
         raise SolverError("sub_size must be positive")
-    gains = flip_energy_gains(bqm, sample)
-    ranked = sorted(bqm.variables, key=lambda v: (gains[v], str(v)))
+    ranked = np.lexsort((model.str_rank, flip_gains(model, state))).tolist()
     return [ranked[i : i + sub_size] for i in range(0, len(ranked), sub_size)]
 
 
-def strong_components(
-    bqm: BinaryQuadraticModel, ratio: float = 0.5
-) -> List[List[Variable]]:
+def strong_component_indices(model: CompiledBQM, ratio: float = 0.5) -> List[List[int]]:
     """Connected components of the strong-coupling subgraph.
 
     An edge is *strong* when ``|bias| >= ratio * max|bias|``; in
@@ -83,52 +121,54 @@ def strong_components(
     """
     if not 0.0 < ratio <= 1.0:
         raise SolverError("ratio must be in (0, 1]")
-    quadratic = bqm.quadratic
-    ordered = sorted(bqm.variables, key=str)
-    if not quadratic:
-        return [[v] for v in ordered]
-    peak = max(abs(b) for b in quadratic.values())
-    adjacency: Dict[Variable, List[Variable]] = {v: [] for v in bqm.variables}
-    for (u, v), bias in quadratic.items():
-        if abs(bias) >= ratio * peak:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    for v in adjacency:
-        adjacency[v].sort(key=str)
+    ordered = model.str_order
+    if not model.num_interactions:
+        return [[i] for i in ordered]
+    strength = np.abs(model.edge_bias)
+    strong = strength >= ratio * strength.max()
+    adjacency: List[List[int]] = [[] for _ in range(model.num_variables)]
+    for u, v in zip(model.edge_u[strong].tolist(), model.edge_v[strong].tolist()):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    rank = model.str_rank.tolist()
+    for neighbors in adjacency:
+        neighbors.sort(key=rank.__getitem__)
 
-    components: List[List[Variable]] = []
-    seen: set = set()
+    components: List[List[int]] = []
+    seen = [False] * model.num_variables
     for root in ordered:
-        if root in seen:
+        if seen[root]:
             continue
-        component: List[Variable] = []
+        component: List[int] = []
         queue = [root]
-        seen.add(root)
+        seen[root] = True
         while queue:
             v = queue.pop(0)
             component.append(v)
             for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
+                if not seen[u]:
+                    seen[u] = True
                     queue.append(u)
         components.append(component)
     return components
 
 
-def component_weights(
-    bqm: BinaryQuadraticModel, components: Sequence[Sequence[Variable]]
+def component_weight_indices(
+    model: CompiledBQM, components: Sequence[Sequence[int]]
 ) -> Dict[Tuple[int, int], float]:
-    """Total |coupling| between each pair of components."""
-    where: Dict[Variable, int] = {}
+    """Total |coupling| between each pair of components, summed in edge order."""
+    where = np.empty(model.num_variables, dtype=np.intp)
     for index, component in enumerate(components):
-        for v in component:
-            where[v] = index
+        where[list(component)] = index
+    first, second = where[model.edge_u], where[model.edge_v]
+    cross = first != second
     weights: Dict[Tuple[int, int], float] = {}
-    for (u, v), bias in bqm.quadratic.items():
-        i, j = where[u], where[v]
-        if i != j:
-            key = (min(i, j), max(i, j))
-            weights[key] = weights.get(key, 0.0) + abs(bias)
+    for i, j, weight in zip(
+        np.minimum(first, second)[cross].tolist(),
+        np.maximum(first, second)[cross].tolist(),
+        np.abs(model.edge_bias[cross]).tolist(),
+    ):
+        weights[(i, j)] = weights.get((i, j), 0.0) + weight
     return weights
 
 
@@ -193,8 +233,48 @@ def pack_components(
     return blocks
 
 
+# ----------------------------------------------------------------------
+# Variable-level API over dict or compiled models
+# ----------------------------------------------------------------------
+def _named(model: CompiledBQM, groups: Sequence[Sequence[int]]) -> List[List[Variable]]:
+    return [[model.variables[i] for i in group] for group in groups]
+
+
+def flip_energy_gains(bqm: Model, sample: Sample) -> Dict[Variable, float]:
+    """:func:`flip_gains` of an assignment dict, keyed by variable."""
+    model = as_compiled(bqm)
+    return dict(zip(model.variables, flip_gains(model, model.state_vector(sample)).tolist()))
+
+
+def greedy_descent(bqm: Model, sample: Sample) -> Dict[Variable, int]:
+    """:func:`descend` from an assignment dict, returning one."""
+    model = as_compiled(bqm)
+    return model.to_sample(descend(model, model.state_vector(sample)))
+
+
+def select_by_energy_impact(bqm: Model, sample: Sample, sub_size: int) -> List[List[Variable]]:
+    """:func:`energy_impact_indices` as blocks of variables."""
+    model = as_compiled(bqm)
+    return _named(model, energy_impact_indices(model, model.state_vector(sample), sub_size))
+
+
+def strong_components(bqm: Model, ratio: float = 0.5) -> List[List[Variable]]:
+    """:func:`strong_component_indices` as lists of variables."""
+    model = as_compiled(bqm)
+    return _named(model, strong_component_indices(model, ratio))
+
+
+def component_weights(
+    bqm: Model, components: Sequence[Sequence[Variable]]
+) -> Dict[Tuple[int, int], float]:
+    """:func:`component_weight_indices` of components given as variables."""
+    model = as_compiled(bqm)
+    index = model.index
+    return component_weight_indices(model, [[index[v] for v in c] for c in components])
+
+
 def select_by_graph_partition(
-    bqm: BinaryQuadraticModel,
+    bqm: Model,
     sub_size: int,
     order: Optional[Sequence[int]] = None,
     ratio: float = 0.5,
@@ -205,11 +285,12 @@ def select_by_graph_partition(
     passes a fresh shuffle each round so different components get
     co-optimized); ``None`` keeps the deterministic sorted order.
     """
-    components = strong_components(bqm, ratio=ratio)
-    weights = component_weights(bqm, components)
+    model = as_compiled(bqm)
+    components = strong_component_indices(model, ratio=ratio)
+    weights = component_weight_indices(model, components)
     if order is None:
         order = range(len(components))
-    return pack_components(components, weights, order, sub_size)
+    return _named(model, pack_components(components, weights, order, sub_size))
 
 
 def clamp_subproblem(
@@ -220,6 +301,7 @@ def clamp_subproblem(
     The returned model's energy over the free variables equals the full
     model's energy of ``sample`` patched with the free assignment, so
     sub-solver energies are directly comparable to the incumbent's.
+    The dict-model reference for :meth:`CompiledBQM.clamp`.
     """
     free_set = set(free)
     unknown = free_set - set(bqm.variables)

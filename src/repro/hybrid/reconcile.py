@@ -24,75 +24,82 @@ Guarantees (both by construction, and both checked by the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.harness import derive_seed
 from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.compiled import CompiledBQM, as_compiled
 from repro.qubo.exact import brute_force_minimum
 
-from .decomposer import clamp_subproblem
+from .decomposer import descend
 
 Variable = Hashable
 Sample = Mapping[Variable, int]
-#: ``(clamped_sub_bqm, seed) -> (sample, energy)``
-BlockSolver = Callable[[BinaryQuadraticModel, int], Tuple[Dict[Variable, int], float]]
+#: ``(clamped_sub, seed) -> (sub_state, energy)``
+BlockSolver = Callable[[CompiledBQM, int], Tuple[np.ndarray, float]]
 
-__all__ = ["frontier_variables", "reconcile_boundary"]
+__all__ = ["frontier_indices", "frontier_variables", "reconcile_boundary", "reconcile_states"]
 
 _EXACT_CHUNK_LIMIT = 20
 _SEED_SCOPE = "repro.hybrid.reconcile"
 
 
-def frontier_variables(
-    bqm: BinaryQuadraticModel, blocks: Sequence[Sequence[Variable]]
-) -> List[Variable]:
-    """Variables coupled (quadratically) across block boundaries.
+def frontier_indices(model: CompiledBQM, blocks: Sequence[Sequence[int]]) -> List[int]:
+    """Indices of the variables coupled (quadratically) across block
+    boundaries, sorted by ``str(var)`` for determinism.
 
     These are the only variables whose shard-local optimality can be
     invalidated by other shards moving; everything else sees an
-    unchanged neighbourhood.  Sorted by ``str(var)`` for determinism.
+    unchanged neighbourhood.  Variables in no block count as one more
+    block.
     """
-    where: Dict[Variable, int] = {}
+    where = np.full(model.num_variables, -1, dtype=np.intp)
     for index, block in enumerate(blocks):
-        for v in block:
-            where[v] = index
-    frontier: set = set()
-    for u, v in bqm.quadratic:
-        if where.get(u) != where.get(v):
-            frontier.add(u)
-            frontier.add(v)
-    return sorted(frontier, key=str)
+        where[list(block)] = index
+    cut = where[model.edge_u] != where[model.edge_v]
+    on = np.zeros(model.num_variables, dtype=bool)
+    on[model.edge_u[cut]] = True
+    on[model.edge_v[cut]] = True
+    return [i for i in model.str_order if on[i]]
 
 
-def _default_block_solver(
-    sub: BinaryQuadraticModel, seed: int
-) -> Tuple[Dict[Variable, int], float]:
+def frontier_variables(
+    bqm: Union[BinaryQuadraticModel, CompiledBQM], blocks: Sequence[Sequence[Variable]]
+) -> List[Variable]:
+    """:func:`frontier_indices` of blocks given as variables."""
+    model = as_compiled(bqm)
+    index = model.index
+    frontier = frontier_indices(model, [[index[v] for v in block] for block in blocks])
+    return [model.variables[i] for i in frontier]
+
+
+def _default_block_solver(sub: CompiledBQM, seed: int) -> Tuple[np.ndarray, float]:
     """Exact for small chunks; single-flip descent otherwise."""
-    from .solver import greedy_descent  # local import: solver imports us
-
     if sub.num_variables <= _EXACT_CHUNK_LIMIT:
         result = brute_force_minimum(sub)
-        return dict(result.sample), float(result.energy)
-    start = {v: min(sub.vartype.values) for v in sub.variables}
-    descended = greedy_descent(sub, start)
-    return descended, sub.energy(descended)
+        return sub.state_vector(result.sample), float(result.energy)
+    start = np.full(sub.num_variables, float(min(sub.vartype.values)))
+    descended = descend(sub, start)
+    return descended, float(sub.energies_compat(descended)[0])
 
 
-def reconcile_boundary(
-    bqm: BinaryQuadraticModel,
-    sample: Sample,
-    frontier: Sequence[Variable],
+def reconcile_states(
+    model: CompiledBQM,
+    state: np.ndarray,
+    frontier: Sequence[int],
     solve_block: Optional[BlockSolver] = None,
     seed: int = 0,
     chunk_size: int = 16,
-) -> Tuple[Dict[Variable, int], float]:
-    """Re-optimize ``frontier`` variables of a merged assignment.
+) -> Tuple[np.ndarray, float]:
+    """Re-optimize the ``frontier`` variable indices of a merged state.
 
-    Chunks the frontier (``str``-sorted, ``chunk_size`` at a time),
-    clamps everything else to ``sample``, re-solves each chunk with
-    ``solve_block`` and accepts only improvements, then finishes with
-    an exact greedy descent over the whole frontier.  Returns
-    ``(sample, energy)`` with ``energy <= bqm.energy(sample)``.
+    Chunks the frontier (in the given order, ``chunk_size`` at a time),
+    clamps everything else to the merged state, re-solves each chunk
+    with ``solve_block`` and accepts only improvements, then finishes
+    with an exact greedy descent over the whole frontier.  Returns
+    ``(state, energy)`` with ``energy`` at most the merged state's.
 
     ``solve_block`` defaults to exact enumeration for chunks of at most
     20 variables; the fleet solver passes its own block solver so the
@@ -100,31 +107,48 @@ def reconcile_boundary(
     derive from ``seed`` via the harness scheme, so the pass is
     deterministic and independent of dispatch concurrency.
     """
-    merged: Dict[Variable, int] = dict(sample)
-    energy = bqm.energy(merged)
-    if not frontier:
+    merged = np.array(state, dtype=float)
+    energy = float(model.energies_compat(merged)[0])
+    if not len(frontier):
         return merged, energy
     solver = _default_block_solver if solve_block is None else solve_block
-    ordered = sorted(frontier, key=str)
-    for start in range(0, len(ordered), max(1, int(chunk_size))):
-        chunk = ordered[start : start + max(1, int(chunk_size))]
-        sub = clamp_subproblem(bqm, chunk, merged)
+    step = max(1, int(chunk_size))
+    for start in range(0, len(frontier), step):
+        chunk = frontier[start : start + step]
+        sub = model.clamp(chunk, merged)
         chunk_seed = derive_seed(seed, _SEED_SCOPE, {"chunk": start})
-        chunk_sample, chunk_energy = solver(sub, chunk_seed)
+        chunk_state, chunk_energy = solver(sub, chunk_seed)
         if chunk_energy < energy - 1e-9:
-            merged.update(chunk_sample)
+            merged[np.sort(chunk)] = chunk_state
             energy = chunk_energy
 
     # Final exact single-flip descent over the entire frontier: the
     # clamped subproblem's flip deltas equal the full model's for
     # frontier variables, so on exit no frontier flip improves.
-    from .solver import greedy_descent  # local import: solver imports us
-
-    sub = clamp_subproblem(bqm, ordered, merged)
-    descended = greedy_descent(sub, {v: merged[v] for v in ordered})
-    candidate = dict(merged)
-    candidate.update(descended)
-    candidate_energy = sub.energy(descended)
+    positions = np.sort(np.asarray(frontier, dtype=np.intp))
+    sub = model.clamp(positions, merged)
+    descended = descend(sub, merged[positions])
+    candidate_energy = float(sub.energies_compat(descended)[0])
     if candidate_energy < energy - 1e-12:
-        merged, energy = candidate, candidate_energy
+        merged[positions] = descended
+        energy = candidate_energy
     return merged, energy
+
+
+def reconcile_boundary(
+    bqm: Union[BinaryQuadraticModel, CompiledBQM],
+    sample: Sample,
+    frontier: Sequence[Variable],
+    seed: int = 0,
+    chunk_size: int = 16,
+) -> Tuple[Dict[Variable, int], float]:
+    """:func:`reconcile_states` over an assignment dict, with the
+    frontier given as variables and chunked in ``str`` order.  Returns
+    ``(sample, energy)`` with ``energy <= bqm.energy(sample)``."""
+    model = as_compiled(bqm)
+    index = model.index
+    ordered = [index[v] for v in sorted(frontier, key=str)]
+    merged, energy = reconcile_states(
+        model, model.state_vector(sample), ordered, seed=seed, chunk_size=chunk_size
+    )
+    return model.to_sample(merged), energy

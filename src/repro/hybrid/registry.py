@@ -19,6 +19,10 @@ Solvers whose ``solve`` accepts a ``time_budget`` keyword (seconds)
 stop cooperatively once the budget is spent and return the best sample
 found so far — the contract the service layer's deadline-aware
 fallback chains rely on (probe with :func:`supports_time_budget`).
+Solvers whose class sets ``accepts_compiled`` also take a
+:class:`~repro.qubo.compiled.CompiledBQM` as their model, so the chains
+hand them the cached compiled model (probe with
+:func:`supports_compiled`).
 
 Registered names
 ----------------
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import inspect
 import weakref
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,15 +59,17 @@ except ImportError:  # pragma: no cover
 
 from repro.exceptions import ConfigurationError, SolverError
 from repro.annealing.simulated_annealing import SimulatedAnnealingSampler
+from repro.hybrid.decomposer import descend
 from repro.hybrid.solver import (
     DecomposingSolver,
     SolveResult,
     budget_deadline,
     budget_spent,
-    greedy_descent,
+    state_energy,
 )
 from repro.hybrid.tabu import TabuSampler
 from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.compiled import CompiledBQM, as_compiled
 from repro.qubo.exact import brute_force_minimum
 
 
@@ -87,14 +93,14 @@ def supports_time_budget(solver: "Solver") -> bool:
 
 
 def supports_compiled(solver: "Solver") -> bool:
-    """Does ``solver.solve`` accept a ``compiled`` keyword?
+    """Does ``solver.solve`` take a :class:`~repro.qubo.compiled.CompiledBQM`
+    as its model (class attribute ``accepts_compiled``)?
 
-    Solvers advertising it run their kernels straight off a
-    :class:`~repro.qubo.compiled.CompiledBQM`, letting callers (the
-    service's compilation cache, the hybrid decomposer) compile once
-    and amortize across solves.
+    Such solvers run straight off the arrays, so callers holding a
+    compiled model (the service's compilation cache) never build the
+    dict model; the others need ``BinaryQuadraticModel`` input.
     """
-    return accepts_keyword(solver.solve, "compiled")
+    return bool(getattr(solver, "accepts_compiled", False))
 
 
 def accepts_keyword(func, keyword: str) -> bool:
@@ -153,6 +159,7 @@ class GreedySolver:
     name = "greedy"
     capabilities = frozenset({"heuristic", "classical"})
     max_variables: Optional[int] = None
+    accepts_compiled = True
 
     def __init__(self, restarts: int = 8, seed: Optional[int] = None) -> None:
         if restarts < 1:
@@ -162,28 +169,25 @@ class GreedySolver:
 
     def solve(
         self,
-        bqm: BinaryQuadraticModel,
+        bqm: Union[BinaryQuadraticModel, CompiledBQM],
         seed: Optional[int] = None,
         time_budget: Optional[float] = None,
     ) -> SolveResult:
-        if bqm.num_variables == 0:
-            return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
+        model = as_compiled(bqm)
+        if model.num_variables == 0:
+            return SolveResult(sample={}, energy=model.offset, solver=self.name)
         deadline = budget_deadline(time_budget)
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        lo, hi = bqm.vartype.values
-        variables = list(bqm.variables)
+        lo, hi = model.vartype.values
         best_sample: Dict[Hashable, int] = {}
         best_energy = float("inf")
         for restart in range(self.restarts):
             if restart > 0 and budget_spent(deadline):
                 break
-            values = rng.choice((lo, hi), size=len(variables))
-            sample = greedy_descent(
-                bqm, {v: int(values[i]) for i, v in enumerate(variables)}
-            )
-            energy = bqm.energy(sample)
+            state = descend(model, rng.choice((lo, hi), size=model.num_variables))
+            energy = state_energy(model, state)
             if energy < best_energy:
-                best_sample, best_energy = sample, energy
+                best_sample, best_energy = model.to_sample(state), energy
         return SolveResult(sample=best_sample, energy=best_energy, solver=self.name)
 
 
@@ -272,9 +276,10 @@ class ExactSolver:
     name = "exact"
     capabilities = frozenset({"exact", "classical"})
     max_variables: Optional[int] = 26
+    accepts_compiled = True
 
     def solve(
-        self, bqm: BinaryQuadraticModel, seed: Optional[int] = None
+        self, bqm: Union[BinaryQuadraticModel, CompiledBQM], seed: Optional[int] = None
     ) -> SolveResult:
         check_size(self, bqm)
         result = brute_force_minimum(bqm)
@@ -287,9 +292,11 @@ class ExactSolver:
 
 
 class SamplerSolver:
-    """Adapter for Ocean-style ``sample(bqm, num_reads, seed, compiled)`` samplers."""
+    """Adapter for Ocean-style ``sample(bqm, num_reads, seed)`` samplers
+    that also take a :class:`~repro.qubo.compiled.CompiledBQM` model."""
 
     max_variables: Optional[int] = None
+    accepts_compiled = True
 
     def __init__(
         self,
@@ -305,17 +312,14 @@ class SamplerSolver:
 
     def solve(
         self,
-        bqm: BinaryQuadraticModel,
+        bqm: Union[BinaryQuadraticModel, CompiledBQM],
         seed: Optional[int] = None,
         time_budget: Optional[float] = None,
-        compiled=None,
     ) -> SolveResult:
         if bqm.num_variables == 0:
             return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
         if time_budget is None:
-            sample_set = self.sampler.sample(
-                bqm, num_reads=self.num_reads, seed=seed, compiled=compiled
-            )
+            sample_set = self.sampler.sample(bqm, num_reads=self.num_reads, seed=seed)
             best = sample_set.first
             return SolveResult(
                 sample=dict(best.sample), energy=float(best.energy), solver=self.name
@@ -329,9 +333,7 @@ class SamplerSolver:
         best = None
         reads_done = 0
         for read_seed in read_seeds:
-            record = self.sampler.sample(
-                bqm, num_reads=1, seed=read_seed, compiled=compiled
-            ).first
+            record = self.sampler.sample(bqm, num_reads=1, seed=read_seed).first
             reads_done += 1
             if best is None or record.energy < best.energy - 1e-12:
                 best = record

@@ -9,7 +9,11 @@ bounded-size subproblems with whatever solver fits them, clamp the
 boundary to the incumbent, and iterate until no round improves.
 
 :class:`DecomposingSolver` implements that loop over any
-:class:`~repro.qubo.bqm.BinaryQuadraticModel`:
+:class:`~repro.qubo.bqm.BinaryQuadraticModel` or
+:class:`~repro.qubo.compiled.CompiledBQM`.  It runs on the compiled
+model throughout — incumbents are state vectors, blocks are variable
+indices, subproblems come from :meth:`CompiledBQM.clamp` — so a served
+request never builds a dict model:
 
 1. start each restart from a full-model ``subsolver`` run (or, on
    later restarts, a perturbed copy of the best incumbent), snapped
@@ -50,24 +54,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import SolverError
 from repro.harness import derive_seed
 from repro.hybrid.decomposer import (
-    clamp_subproblem,
-    component_weights,
-    flip_energy_gains,
+    component_weight_indices,
+    descend,
+    energy_impact_indices,
     pack_components,
-    select_by_energy_impact,
-    strong_components,
+    strong_component_indices,
 )
-from repro.hybrid.reconcile import frontier_variables, reconcile_boundary
+from repro.hybrid.reconcile import frontier_indices, reconcile_states
 from repro.hybrid.tabu import TabuSampler
 from repro.qubo.bqm import BinaryQuadraticModel
-from repro.qubo.compiled import compile_bqm
+from repro.qubo.compiled import CompiledBQM, as_compiled
 from repro.qubo.exact import brute_force_minimum
 
 _EXACT_HARD_LIMIT = 26  # brute_force_minimum's own ceiling
@@ -85,15 +88,22 @@ def budget_spent(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
+def state_energy(model: CompiledBQM, state: np.ndarray) -> float:
+    """``model``'s energy of one state, bit-identical to the dict
+    model's :meth:`~repro.qubo.bqm.BinaryQuadraticModel.energy`."""
+    return float(model.energies_compat(state)[0])
+
+
 @dataclass
 class _BlockCaches:
     """Per-``solve`` reuse of work on content-identical subproblems.
 
     ``exact`` memoizes the brute-force optimum of small blocks;
-    ``compiled`` keeps the array-compiled form of subsolver-sized
-    blocks.  Keyed by the clamped subproblem's full content
-    (:func:`_subproblem_key`), so a hit is exactly a re-encounter of
-    the same block with the same boundary assignment.
+    ``compiled`` keeps the first clamped instance of subsolver-sized
+    blocks, so the spin companion and adjacency it derives for the
+    subsolver are built once.  Keyed by the clamped subproblem's full
+    content (:func:`_subproblem_key`), so a hit is exactly a
+    re-encounter of the same block with the same boundary assignment.
     """
 
     exact: Dict[tuple, tuple] = field(default_factory=dict)
@@ -101,7 +111,7 @@ class _BlockCaches:
     hits: int = 0
     misses: int = 0
 
-    def lookup(self, table: Dict[tuple, object], sub: BinaryQuadraticModel, build):
+    def lookup(self, table: Dict[tuple, object], sub: CompiledBQM, build):
         """``table``'s entry for ``sub``, made by ``build(sub)`` on a miss."""
         key = _subproblem_key(sub)
         value = table.get(key)
@@ -113,24 +123,27 @@ class _BlockCaches:
         return value
 
 
-def _subproblem_key(sub: BinaryQuadraticModel) -> tuple:
+def _subproblem_key(sub: CompiledBQM) -> tuple:
     """Content key of a clamped subproblem (exact float equality).
 
-    The clamped sub-BQM is fully determined by its block variables and
-    the incumbent values of their out-of-block neighbours, all of which
-    land in its linear/quadratic coefficients and offset — hashing the
-    content is therefore equivalent to hashing (block, boundary).
+    A clamped block keeps the model's variable order and the couplings
+    among its variables, and the incumbent values of its out-of-block
+    neighbours land in its linear biases and offset — so its variables,
+    biases and offset identify (block, boundary).  ``0.0 +`` maps -0.0
+    to 0.0, keeping float equality rather than bit equality.
     """
-    linear = tuple(
-        sorted((str(v), bias) for v, bias in sub.linear.items())
+    return (
+        sub.variables,
+        sub.offset,
+        (0.0 + sub.linear).tobytes(),
+        (0.0 + sub.edge_bias).tobytes(),
     )
-    quadratic = tuple(
-        sorted(
-            (*sorted((str(u), str(v))), bias)
-            for u, v, bias in sub.interactions()
-        )
-    )
-    return (sub.vartype.name, sub.offset, linear, quadratic)
+
+
+def _block_positions(block: Sequence[int]) -> np.ndarray:
+    """Where a clamped block's variables sit in the full state (the
+    subproblem keeps the model's variable order)."""
+    return np.sort(np.asarray(block, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -156,15 +169,13 @@ class DecomposingSolver:
         enumeration; larger ones go to ``subsolver``.  Defaults to
         ``min(sub_size, 20)`` and is capped at 26.
     subsolver:
-        An Ocean-style sampler with ``sample(bqm, num_reads=…, seed=…,
-        compiled=…)`` — :class:`~repro.hybrid.tabu.TabuSampler`
-        (default) or
+        An Ocean-style sampler whose ``sample(model, num_reads=…,
+        seed=…)`` takes a :class:`~repro.qubo.compiled.CompiledBQM` as
+        its model — :class:`~repro.hybrid.tabu.TabuSampler` (default) or
         :class:`~repro.annealing.simulated_annealing.SimulatedAnnealingSampler`.
-        ``compiled`` is always passed: ``None``, or the
-        :class:`~repro.qubo.compiled.CompiledBQM` of the model given.
-        A decomposed solve compiles each content-identical subproblem
-        once (and enumerates each exact block once), reporting
-        ``block_cache_hits``/``block_cache_misses`` in ``info``.
+        A decomposed solve enumerates each content-identical exact block
+        once and hands the subsolver one instance per content,
+        reporting ``block_cache_hits``/``block_cache_misses`` in ``info``.
     sub_reads:
         Reads per subsolver call.
     max_rounds:
@@ -189,12 +200,15 @@ class DecomposingSolver:
         (``min(sub_size, fleet.min_capacity())``), each round's blocks
         are clamped against the same incumbent and annealed
         concurrently across the devices, and the merged assignment is
-        boundary-reconciled before acceptance.
+        boundary-reconciled before acceptance.  Devices take dict
+        models, so shards are converted at dispatch.
     """
 
     name = "hybrid"
     capabilities = frozenset({"heuristic", "decomposition", "unbounded-size"})
     max_variables: Optional[int] = None
+    #: ``solve`` takes a :class:`~repro.qubo.compiled.CompiledBQM` model
+    accepts_compiled = True
 
     def __init__(
         self,
@@ -247,27 +261,24 @@ class DecomposingSolver:
     # ------------------------------------------------------------------
     def solve(
         self,
-        bqm: BinaryQuadraticModel,
+        bqm: Union[BinaryQuadraticModel, CompiledBQM],
         seed: Optional[int] = None,
         time_budget: Optional[float] = None,
-        compiled=None,
     ) -> SolveResult:
         """Minimize ``bqm``; deterministic for a fixed seed.
 
-        ``time_budget`` (seconds) makes the run cooperative: the budget
-        is checked between restarts and between decomposition rounds,
-        and the best incumbent found so far is returned once it is
-        spent.  The first restart's first round always runs, so a valid
-        sample comes back even under a zero budget.
-
-        ``compiled`` (a :class:`~repro.qubo.compiled.CompiledBQM` of
-        this exact model) feeds the subsolver's full-model calls —
-        initial incumbents and, without a fleet, models that fit in one
-        block — without recompiling; clamped subproblems are distinct
-        models, compiled once per content in the per-solve block cache.
+        ``bqm`` is a dict model (compiled once here) or a
+        :class:`~repro.qubo.compiled.CompiledBQM`; both give the same
+        result.  ``time_budget`` (seconds) makes the run cooperative:
+        the budget is checked between restarts and between
+        decomposition rounds, and the best incumbent found so far is
+        returned once it is spent.  The first restart's first round
+        always runs, so a valid sample comes back even under a zero
+        budget.
         """
-        if bqm.num_variables == 0:
-            return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
+        model = as_compiled(bqm)
+        if model.num_variables == 0:
+            return SolveResult(sample={}, energy=model.offset, solver=self.name)
         deadline = budget_deadline(time_budget)
         fleet = self.fleet
         root = self.seed if seed is None else seed
@@ -285,24 +296,24 @@ class DecomposingSolver:
             capacity = min(self.sub_size, fleet.min_capacity())
             fleet_info = {"fleet_size": fleet.size}
 
-        if bqm.num_variables <= capacity:
+        if model.num_variables <= capacity:
             if fleet is None:
-                sample, energy = self._solve_block(
-                    bqm, int(rng.integers(2**31)), compiled=compiled
-                )
+                state, energy = self._solve_block(model, int(rng.integers(2**31)))
+                sample = model.to_sample(state)
             else:
+                whole = bqm if isinstance(bqm, BinaryQuadraticModel) else model.to_bqm()
                 ((sample, energy),) = fleet.dispatch(
-                    [bqm], root, num_reads=self.sub_reads
+                    [whole], root, num_reads=self.sub_reads
                 )
             return SolveResult(
                 sample=sample, energy=energy, solver=self.name,
                 info={"rounds": 0, "subproblems": 1, "decomposed": False, **fleet_info},
             )
 
-        components = strong_components(bqm)
-        weights = component_weights(bqm, components)
+        components = strong_component_indices(model)
+        weights = component_weight_indices(model, components)
         caches = _BlockCaches()
-        best_sample: Dict[Hashable, int] = {}
+        best_state: Optional[np.ndarray] = None
         best_energy = float("inf")
         total_rounds = 0
         total_subproblems = 0
@@ -310,20 +321,20 @@ class DecomposingSolver:
             if restart > 0 and budget_spent(deadline):
                 break
             if restart == 0 or restart % 2 == 0:
-                sample = self._initial_sample(bqm, rng, compiled=compiled)
+                state = self._initial_state(model, rng)
             else:
-                sample = self._perturb(bqm, best_sample, rng)
-            sample, energy, rounds, subproblems = self._refine(
-                bqm, sample, components, weights, rng, caches, capacity,
+                state = self._perturb(model, best_state, rng)
+            state, energy, rounds, subproblems = self._refine(
+                model, state, components, weights, rng, caches, capacity,
                 deadline, root, restart,
             )
             total_rounds += rounds
             total_subproblems += subproblems
             if energy < best_energy - 1e-9:
-                best_sample, best_energy = sample, energy
+                best_state, best_energy = state, energy
 
         return SolveResult(
-            sample=dict(best_sample),
+            sample=model.to_sample(best_state),
             energy=float(best_energy),
             solver=self.name,
             info={
@@ -341,9 +352,9 @@ class DecomposingSolver:
     # ------------------------------------------------------------------
     def _refine(
         self,
-        bqm: BinaryQuadraticModel,
-        sample: Dict[Hashable, int],
-        components: List[List[Hashable]],
+        model: CompiledBQM,
+        state: np.ndarray,
+        components: List[List[int]],
         weights: Dict[tuple, float],
         rng: np.random.Generator,
         caches: "_BlockCaches",
@@ -364,7 +375,7 @@ class DecomposingSolver:
         """
         if self.fleet is not None:
             restart_seed = derive_seed(root, _FLEET_SEED_SCOPE, {"restart": restart})
-        energy = bqm.energy(sample)
+        energy = state_energy(model, state)
         rounds = 0
         subproblems = 0
         stall = 0
@@ -373,53 +384,53 @@ class DecomposingSolver:
                 break
             rounds += 1
             if rounds == 1:
-                blocks = select_by_energy_impact(bqm, sample, capacity)
+                blocks = energy_impact_indices(model, state, capacity)
             else:
                 order = [int(i) for i in rng.permutation(len(components))]
                 blocks = pack_components(components, weights, order, capacity)
             subproblems += len(blocks)
             if self.fleet is None:
                 candidate, candidate_energy = self._sequential_round(
-                    bqm, blocks, sample, energy, rng, caches
+                    model, blocks, state, energy, rng, caches
                 )
             else:
                 candidate, candidate_energy = self._fleet_round(
-                    bqm, blocks, sample, root, caches,
+                    model, blocks, state, root, caches,
                     seed=derive_seed(restart_seed, _FLEET_SEED_SCOPE, {"round": rounds}),
                 )
             if candidate_energy < energy - 1e-9:
-                sample, energy = candidate, candidate_energy
+                state, energy = candidate, candidate_energy
                 stall = 0
             else:
                 stall += 1
-        return sample, energy, rounds, subproblems
+        return state, energy, rounds, subproblems
 
     def _sequential_round(
         self,
-        bqm: BinaryQuadraticModel,
-        blocks: List[List[Hashable]],
-        sample: Dict[Hashable, int],
+        model: CompiledBQM,
+        blocks: List[List[int]],
+        state: np.ndarray,
         energy: float,
         rng: np.random.Generator,
         caches: "_BlockCaches",
     ) -> tuple:
         """Solve blocks one by one, each clamped to the latest incumbent."""
         for block in blocks:
-            sub = clamp_subproblem(bqm, block, sample)
-            sub_sample, sub_energy = self._solve_block(
+            sub = model.clamp(block, state)
+            sub_state, sub_energy = self._solve_block(
                 sub, int(rng.integers(2**31)), caches=caches
             )
             if sub_energy < energy - 1e-9:
-                sample = dict(sample)
-                sample.update(sub_sample)
+                state = state.copy()
+                state[_block_positions(block)] = sub_state
                 energy = sub_energy
-        return sample, energy
+        return state, energy
 
     def _fleet_round(
         self,
-        bqm: BinaryQuadraticModel,
-        blocks: List[List[Hashable]],
-        sample: Dict[Hashable, int],
+        model: CompiledBQM,
+        blocks: List[List[int]],
+        state: np.ndarray,
         root: int,
         caches: "_BlockCaches",
         seed: int,
@@ -433,77 +444,75 @@ class DecomposingSolver:
         after boundary reconciliation and (b) the best single shard
         applied alone (whose clamped energy *is* its full-model energy).
         """
-        subs = [clamp_subproblem(bqm, block, sample) for block in blocks]
-        results = self.fleet.dispatch(subs, root, num_reads=self.sub_reads)
+        subs = [model.clamp(block, state) for block in blocks]
+        results = self.fleet.dispatch(
+            [sub.to_bqm() for sub in subs], root, num_reads=self.sub_reads
+        )
 
-        naive = dict(sample)
-        best_single: Optional[Dict[Hashable, int]] = None
+        naive = state.copy()
+        best_single: Optional[tuple] = None
         best_single_energy = float("inf")
-        for shard_sample, shard_energy in results:
-            naive.update(shard_sample)
+        for block, sub, (shard_sample, shard_energy) in zip(blocks, subs, results):
+            shard = (_block_positions(block), sub.state_vector(shard_sample))
+            naive[shard[0]] = shard[1]
             if shard_energy < best_single_energy:
-                best_single, best_single_energy = shard_sample, shard_energy
+                best_single, best_single_energy = shard, shard_energy
 
-        merged, merged_energy = reconcile_boundary(
-            bqm, naive, frontier_variables(bqm, blocks),
+        merged, merged_energy = reconcile_states(
+            model, naive, frontier_indices(model, blocks),
             solve_block=lambda sub, s: self._solve_block(sub, s, caches=caches),
             seed=seed,
         )
         if best_single is not None and best_single_energy < merged_energy:
-            candidate = dict(sample)
-            candidate.update(best_single)
+            candidate = state.copy()
+            candidate[best_single[0]] = best_single[1]
             return candidate, best_single_energy
         return merged, merged_energy
 
     def _perturb(
         self,
-        bqm: BinaryQuadraticModel,
-        sample: Dict[Hashable, int],
+        model: CompiledBQM,
+        state: np.ndarray,
         rng: np.random.Generator,
-    ) -> Dict[Hashable, int]:
+    ) -> np.ndarray:
         """Re-randomize a seeded fraction of the incumbent's variables."""
-        lo, hi = bqm.vartype.values
-        variables = list(bqm.variables)
-        count = max(1, int(round(self.perturb_fraction * len(variables))))
-        chosen = rng.choice(len(variables), size=count, replace=False)
-        perturbed = dict(sample)
+        lo, hi = model.vartype.values
+        n = model.num_variables
+        count = max(1, int(round(self.perturb_fraction * n)))
+        chosen = rng.choice(n, size=count, replace=False)
+        perturbed = state.copy()
         for i in chosen:
-            perturbed[variables[int(i)]] = int(rng.choice((lo, hi)))
-        return greedy_descent(bqm, perturbed)
+            perturbed[int(i)] = int(rng.choice((lo, hi)))
+        return descend(model, perturbed)
 
     # ------------------------------------------------------------------
     def _solve_block(
         self,
-        sub: BinaryQuadraticModel,
+        sub: CompiledBQM,
         seed: int,
-        compiled=None,
         caches: Optional["_BlockCaches"] = None,
     ) -> tuple:
-        """Exact enumeration when the block fits, subsolver otherwise.
+        """``(state, energy)`` of a block: exact enumeration when it fits,
+        subsolver otherwise.
 
         With ``caches`` (one :class:`_BlockCaches` per decomposed
         ``solve``), content-identical subproblems — same blocks
         re-clamped against an unchanged boundary in later
-        rounds/restarts — replay the memoized exact optimum or reuse the
-        compiled array form instead of recompiling.  The caller draws
-        the seed *before* calling, so caching never shifts the RNG
-        stream.
+        rounds/restarts — replay the memoized exact optimum or reuse
+        the first instance's derived arrays.  The caller draws the seed
+        *before* calling, so caching never shifts the RNG stream.
+        Returned states are shared with the cache: read, never write.
         """
         if sub.num_variables <= self.exact_limit:
             if caches is None:
                 return _exact_minimum(sub)
-            sample, energy = caches.lookup(caches.exact, sub, _exact_minimum)
-            return dict(sample), energy
+            return caches.lookup(caches.exact, sub, _exact_minimum)
         if caches is not None:
-            compiled = caches.lookup(caches.compiled, sub, compile_bqm)
-        best = self.subsolver.sample(
-            sub, num_reads=self.sub_reads, seed=seed, compiled=compiled
-        ).first
-        return dict(best.sample), float(best.energy)
+            sub = caches.lookup(caches.compiled, sub, lambda first: first)
+        best = self.subsolver.sample(sub, num_reads=self.sub_reads, seed=seed).first
+        return sub.state_vector(best.sample), float(best.energy)
 
-    def _initial_sample(
-        self, bqm: BinaryQuadraticModel, rng: np.random.Generator, compiled=None
-    ) -> Dict[Hashable, int]:
+    def _initial_state(self, model: CompiledBQM, rng: np.random.Generator) -> np.ndarray:
         """Incumbent from a full-model subsolver run (qbsolv-style).
 
         The classical local-search engine handles arbitrary sizes, so
@@ -512,47 +521,11 @@ class DecomposingSolver:
         rather than climbing out of a random assignment.
         """
         sample_set = self.subsolver.sample(
-            bqm, num_reads=self.sub_reads, seed=int(rng.integers(2**31)),
-            compiled=compiled,
+            model, num_reads=self.sub_reads, seed=int(rng.integers(2**31))
         )
-        return greedy_descent(bqm, dict(sample_set.first.sample))
+        return descend(model, model.state_vector(sample_set.first.sample))
 
 
-def _exact_minimum(sub: BinaryQuadraticModel) -> tuple:
+def _exact_minimum(sub: CompiledBQM) -> tuple:
     result = brute_force_minimum(sub)
-    return dict(result.sample), float(result.energy)
-
-
-def greedy_descent(
-    bqm: BinaryQuadraticModel, sample: Dict[Hashable, int]
-) -> Dict[Hashable, int]:
-    """Flip single variables until no flip improves (deterministic).
-
-    Repeatedly applies the single most-improving flip (ties broken on
-    ``str(var)``), maintaining flip gains incrementally — one flip
-    costs ``O(degree)``, not a full model walk.
-    """
-    sample = dict(sample)
-    lo, hi = bqm.vartype.values
-    adjacency: Dict[Hashable, List[tuple]] = {v: [] for v in bqm.variables}
-    for u, v, bias in bqm.interactions():
-        adjacency[u].append((v, bias))
-        adjacency[v].append((u, bias))
-    gains = flip_energy_gains(bqm, sample)
-    order: List[Hashable] = sorted(bqm.variables, key=str)
-    for _ in range(8 * max(1, bqm.num_variables)):
-        best = None
-        for v in order:
-            if gains[v] < -1e-12 and (best is None or gains[v] < gains[best]):
-                best = v
-        if best is None:
-            break
-        old = sample[best]
-        new = lo + hi - old
-        sample[best] = new
-        gains[best] = -gains[best]
-        for u, bias in adjacency[best]:
-            # gain(u) = (flip_u - x_u) * field_u; field_u shifts by
-            # bias * (new - old) when its neighbour flips
-            gains[u] += (lo + hi - 2 * sample[u]) * bias * (new - old)
-    return sample
+    return sub.state_vector(result.sample), float(result.energy)

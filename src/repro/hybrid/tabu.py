@@ -39,14 +39,14 @@ kernel, so results stay bit-identical to it
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import SolverError
 from repro.annealing.sampleset import SampleSet
 from repro.qubo.bqm import BinaryQuadraticModel, Vartype
-from repro.qubo.compiled import CompiledBQM, compile_bqm
+from repro.qubo.compiled import CompiledBQM, as_compiled
 
 
 class TabuSampler:
@@ -83,7 +83,7 @@ class TabuSampler:
     # ------------------------------------------------------------------
     def sample(
         self,
-        bqm: BinaryQuadraticModel,
+        bqm: Union[BinaryQuadraticModel, CompiledBQM],
         num_reads: int = 10,
         seed: Optional[int] = None,
         initial_states: Optional[Sequence[Mapping[Hashable, int]]] = None,
@@ -93,7 +93,8 @@ class TabuSampler:
 
         ``initial_states`` warm-starts the first reads (in the vartype
         of ``bqm``); remaining reads start from random assignments.
-        ``compiled`` reuses a pre-compiled form of ``bqm``.  Returns a
+        ``bqm`` may itself be a :class:`CompiledBQM`; ``compiled``
+        reuses a pre-compiled form of a dict ``bqm``.  Returns a
         :class:`SampleSet` holding each read's best sample, in the
         vartype of the input model, duplicates merged into
         ``num_occurrences``.
@@ -103,7 +104,7 @@ class TabuSampler:
         if bqm.num_variables == 0:
             return SampleSet.from_samples([{}], [bqm.offset], vartype=bqm.vartype)
 
-        cbqm = compiled if compiled is not None else compile_bqm(bqm)
+        cbqm = compiled if compiled is not None else as_compiled(bqm)
         spin = cbqm.spin
         n = spin.num_variables
 

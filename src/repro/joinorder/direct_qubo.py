@@ -47,11 +47,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.exceptions import ProblemError
 from repro.joinorder.classical import JoinOrderResult
 from repro.joinorder.cost import cout_cost
 from repro.joinorder.query_graph import QueryGraph
 from repro.qubo.bqm import BinaryQuadraticModel, Vartype
+from repro.qubo.compiled import CompiledBQM, coalesce_interactions
 
 
 def variable_name(relation: str, position: int) -> str:
@@ -149,6 +152,56 @@ class DirectJoinOrderQubo:
                         vb = variable_name(p.second, pos_b)
                         bqm.add_quadratic(va, vb, coeff)
         return bqm
+
+    def build_compiled(self) -> CompiledBQM:
+        """The model :meth:`build` assembles, written straight into arrays.
+
+        Variable ``r * T + pos`` is ``x[r, pos]``.  Every coefficient is
+        summed with the same float operations in the same order as
+        :meth:`build`'s dict accumulation, so the result equals
+        ``compile_bqm(self.build())`` bit for bit.
+        """
+        graph = self.graph
+        names = graph.relation_names
+        t = graph.num_relations
+        weight = self.penalty if self.penalty is not None else self.default_penalty()
+        variables = [variable_name(r, pos) for r in names for pos in range(t)]
+
+        # linear: the row and the column one-hot, then each prefix's
+        # relation terms; offset: +A per one-hot group
+        linear = np.zeros((t, t))
+        linear += -weight
+        linear += -weight
+        offset = 0.0
+        for _ in range(2 * t):
+            offset += weight
+        log_cards = np.array([self._log(r.cardinality) for r in graph.relations])
+        for k in range(2, t):
+            linear[:, :k] += log_cards[:, None]
+
+        # quadratic calls in build()'s order: one-hot pairs per row, per
+        # column, then the predicate terms per prefix and predicate
+        first, second = np.triu_indices(t, 1)
+        lanes = np.arange(t)[:, None]
+        rows = [(lanes * t + first).ravel(), (first * t + lanes).ravel()]
+        cols = [(lanes * t + second).ravel(), (second * t + lanes).ravel()]
+        biases = [np.full(2 * t * first.size, 2.0 * weight)]
+        where = {name: i for i, name in enumerate(names)}
+        ends = np.array(
+            [(where[p.first], where[p.second]) for p in graph.predicates], dtype=np.intp
+        ).reshape(-1, 2)
+        log_sels = np.array([self._log(p.selectivity) for p in graph.predicates])
+        for k in range(2, t):
+            pos_a, pos_b = np.divmod(np.arange(k * k), k)
+            rows.append((ends[:, :1] * t + pos_a).ravel())
+            cols.append((ends[:, 1:] * t + pos_b).ravel())
+            biases.append(np.repeat(log_sels, k * k))
+        edge_u, edge_v, edge_bias = coalesce_interactions(
+            variables, np.concatenate(rows), np.concatenate(cols), np.concatenate(biases)
+        )
+        return CompiledBQM(
+            Vartype.BINARY, offset, variables, linear.ravel(), edge_u, edge_v, edge_bias
+        )
 
     # ------------------------------------------------------------------
     def decode(self, sample: Dict[str, int], method: str = "direct") -> JoinOrderResult:

@@ -25,10 +25,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Hashable, List
+
+import numpy as np
 
 from repro.mqo.problem import MqoProblem, MqoSolution
-from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.bqm import BinaryQuadraticModel, Vartype
+from repro.qubo.compiled import CompiledBQM, coalesce_interactions
 from repro.qubo.expression import BinaryExpression, BinaryVariable, Constant
 
 
@@ -114,6 +117,74 @@ class MqoQuboBuilder:
         for p in self.problem.plans:
             bqm.add_linear(variable_name(p.plan_id), 0.0)
         return bqm
+
+    def build_compiled(self) -> CompiledBQM:
+        """The model :meth:`build` compiles, written straight into arrays.
+
+        Replays :meth:`energy_expression`'s term sums without the
+        expression algebra: the same monomials, in the order the sums
+        create them, with the same float operations and the same
+        dropping of terms that sum to zero.  The result equals
+        ``compile_bqm(self.build())`` bit for bit.
+        """
+        weight_l, weight_m = float(self.weight_l()), float(self.weight_m())
+        plans = self.problem.plans
+        terms: Dict[Hashable, float] = {}
+
+        def add(term: Hashable, coefficient: float) -> None:
+            total = terms.get(term, 0.0) + coefficient
+            if total != 0.0:
+                terms[term] = total
+            else:
+                terms.pop(term, None)
+
+        # ω_L·E_L + ω_M·E_M + E_C + E_S, each factor a product with a
+        # unit-coefficient variable term; zero factors add nothing
+        if weight_l:
+            for p in plans:
+                add(variable_name(p.plan_id), -1.0 * weight_l)
+        if weight_m:
+            for _, group in sorted(self.problem.plans_by_query().items()):
+                for a, b in itertools.combinations(group, 2):
+                    add(frozenset((variable_name(a.plan_id), variable_name(b.plan_id))),
+                        1.0 * weight_m)
+        for p in plans:
+            if p.cost:
+                add(variable_name(p.plan_id), 1.0 * float(p.cost))
+        for s in self.problem.savings:
+            if s.amount:
+                add(frozenset((variable_name(s.plan_a), variable_name(s.plan_b))),
+                    -(1.0 * float(s.amount)))
+
+        # BinaryExpression.compile() registers variables as terms arrive,
+        # then build() registers every plan variable
+        index: Dict[str, int] = {}
+        linear: List[float] = []
+        rows: List[int] = []
+        cols: List[int] = []
+        biases: List[float] = []
+
+        def register(name: str) -> int:
+            if name not in index:
+                index[name] = len(linear)
+                linear.append(0.0)
+            return index[name]
+
+        for term, coefficient in terms.items():
+            if isinstance(term, str):
+                linear[register(term)] = coefficient
+            else:
+                u, v = sorted(term, key=str)
+                rows.append(register(u))
+                cols.append(register(v))
+                biases.append(coefficient)
+        for p in plans:
+            register(variable_name(p.plan_id))
+        variables = list(index)
+        edge_u, edge_v, edge_bias = coalesce_interactions(variables, rows, cols, biases)
+        return CompiledBQM(
+            Vartype.BINARY, 0.0, variables, np.array(linear), edge_u, edge_v, edge_bias
+        )
 
     # ------------------------------------------------------------------
     def decode(self, sample: Dict[str, int], method: str = "") -> MqoSolution:

@@ -1,13 +1,17 @@
-"""Compile-once array-backed representation of a binary quadratic model.
+"""Array-backed representation of a binary quadratic model.
 
 The dict-of-dicts :class:`~repro.qubo.bqm.BinaryQuadraticModel` is the
-construction API of every encoding in the repository, but it is also
-what every solver used to iterate in its inner loop — a hash lookup and
-a Python-level multiply per term, per read, per sweep.  This module
-separates the two roles: models are still *built* as dict BQMs, then
-:func:`compile_bqm` lowers them once into flat numpy arrays that the
-solver kernels (:mod:`repro.annealing.simulated_annealing`,
-:mod:`repro.hybrid.tabu`) and the service's compilation cache consume.
+modelling API of the paper's experiments, but a hash lookup and a
+Python-level multiply per term is too slow for solver inner loops and
+for the service's cold misses.  A :class:`CompiledBQM` holds the same
+model as flat numpy arrays.  The service's QUBO builders
+(:meth:`~repro.mqo.qubo.MqoQuboBuilder.build_compiled`,
+:meth:`~repro.joinorder.direct_qubo.DirectJoinOrderQubo.build_compiled`)
+write these arrays directly, :func:`compile_bqm` lowers a dict model
+through the same constructor, and the solver kernels
+(:mod:`repro.annealing.simulated_annealing`, :mod:`repro.hybrid.tabu`),
+the decomposition loop (:mod:`repro.hybrid.solver`) and exact
+enumeration (:mod:`repro.qubo.exact`) consume them.
 
 A :class:`CompiledBQM` holds
 
@@ -15,14 +19,21 @@ A :class:`CompiledBQM` holds
   ``variables[i]``, insertion order preserved),
 * the quadratic terms as parallel edge arrays ``(edge_u, edge_v,
   edge_bias)`` in the model's :meth:`interactions` emission order,
+
+and derives on first use
+
 * per-variable neighbour/coupling arrays (a CSR-style adjacency) whose
   entry order replicates the order the dict samplers accumulated in,
   so vectorized local-field evaluations are **bit-identical** to the
   seed implementation,
-* an optional dense symmetric coupling matrix for small or dense
-  models, where one BLAS matmul beats gather loops, and
-* for binary models, a pre-compiled spin companion (the domain the
-  annealing kernels sweep in).
+* a dense symmetric coupling matrix for small or dense models, where
+  one BLAS matmul beats gather loops, and
+* for binary models, the spin companion (the domain the annealing
+  kernels sweep in), converted from the arrays.
+
+:meth:`CompiledBQM.clamp` fixes every variable outside a block at its
+incumbent value and returns the block's compiled subproblem, equal bit
+for bit to ``compile_bqm(clamp_subproblem(...))`` of the dict model.
 
 Two energy evaluators are exposed on purpose:
 
@@ -43,89 +54,70 @@ Two energy evaluators are exposed on purpose:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ModelError, VariableError
 from repro.qubo.bqm import BinaryQuadraticModel, Vartype
 
-__all__ = ["CompiledBQM", "compile_bqm"]
+__all__ = ["CompiledBQM", "as_compiled", "coalesce_interactions", "compile_bqm"]
 
 #: models at or under this variable count always get the dense matrix
 DENSE_SIZE_THRESHOLD = 64
 #: larger models get it too when the interaction density is above this
 DENSE_DENSITY_THRESHOLD = 0.25
 
+#: (linear, linear→offset, quadratic, quadratic→each endpoint's linear,
+#: quadratic→offset) multipliers of the substitution into each vartype,
+#: as in :meth:`BinaryQuadraticModel.change_vartype`
+_SUBSTITUTION = {
+    Vartype.SPIN: (0.5, 0.5, 0.25, 0.25, 0.25),  # x = (s + 1)/2
+    Vartype.BINARY: (2.0, -1.0, 4.0, -2.0, 1.0),  # s = 2x - 1
+}
+
 
 class CompiledBQM:
-    """Array-backed form of one :class:`BinaryQuadraticModel`.
+    """Array-backed form of one binary quadratic model.
+
+    The constructor takes the model's arrays — ``linear`` in variable
+    order and the edges in :meth:`BinaryQuadraticModel.interactions`
+    order — and is the one lowering path: :func:`compile_bqm` and the
+    QUBO builders both end here.  ``with_spin=False`` forbids the spin
+    companion (evaluation-only uses).  The dense matrix is materialized
+    for models at or under ``dense_size_threshold`` variables, or whose
+    interaction density reaches ``dense_density_threshold``.
 
     Instances are immutable once built and safe to share across threads
     (the service's compilation cache hands one compiled model to every
-    request for the same problem fingerprint).  Build with
-    :func:`compile_bqm`, not the constructor.
+    request for the same problem fingerprint).  Derived arrays are
+    computed on first use; two threads racing on one compute the same
+    value.
     """
-
-    __slots__ = (
-        "vartype",
-        "offset",
-        "variables",
-        "index",
-        "linear",
-        "edge_u",
-        "edge_v",
-        "edge_bias",
-        "neighbor_index",
-        "neighbor_bias",
-        "abs_totals",
-        "dense",
-        "_spin",
-    )
 
     def __init__(
         self,
         vartype: Vartype,
         offset: float,
-        variables: Tuple[Hashable, ...],
+        variables: Sequence[Hashable],
         linear: np.ndarray,
         edge_u: np.ndarray,
         edge_v: np.ndarray,
         edge_bias: np.ndarray,
-        dense: Optional[np.ndarray],
-        spin: Optional["CompiledBQM"],
+        with_spin: bool = True,
+        dense_size_threshold: int = DENSE_SIZE_THRESHOLD,
+        dense_density_threshold: float = DENSE_DENSITY_THRESHOLD,
     ) -> None:
         self.vartype = vartype
         self.offset = float(offset)
-        self.variables = variables
-        self.index = {v: i for i, v in enumerate(variables)}
+        self.variables = tuple(variables)
         self.linear = np.ascontiguousarray(linear, dtype=float)
-        self.edge_u = edge_u
-        self.edge_v = edge_v
-        self.edge_bias = edge_bias
-        n = len(variables)
-
-        # per-variable adjacency in the dict samplers' append order (both
-        # endpoints of each edge, interactions() emission order): a stable
-        # sort of the interleaved endpoints keeps that order per variable
-        ends = np.column_stack((edge_u, edge_v)).ravel()
-        by_end = np.argsort(ends, kind="stable")
-        biases = np.repeat(edge_bias, 2)
-        nbrs = np.column_stack((edge_v, edge_u)).ravel()[by_end]
-        cpls = biases[by_end]
-        bounds = [0, *np.cumsum(np.bincount(ends, minlength=n)).tolist()]
-        spans = list(zip(bounds, bounds[1:]))
-        self.neighbor_index = [nbrs[a:b] for a, b in spans]
-        self.neighbor_bias = [cpls[a:b] for a, b in spans]
-
-        # |linear| + Σ|bias| per variable; ufunc.at adds in index order,
-        # the exact order the dict-based β-schedule heuristic used
-        totals = np.abs(self.linear)
-        np.add.at(totals, ends, np.abs(biases))
-        self.abs_totals = totals
-
-        self.dense = dense
-        self._spin = spin
+        self.edge_u = np.asarray(edge_u, dtype=np.intp)
+        self.edge_v = np.asarray(edge_v, dtype=np.intp)
+        self.edge_bias = np.asarray(edge_bias, dtype=float)
+        self._with_spin = with_spin
+        self._thresholds = (dense_size_threshold, dense_density_threshold)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -138,12 +130,99 @@ class CompiledBQM:
     def num_interactions(self) -> int:
         return int(self.edge_bias.size)
 
+    @cached_property
+    def index(self) -> Dict[Hashable, int]:
+        """Variable → position in :attr:`variables`."""
+        return {v: i for i, v in enumerate(self.variables)}
+
+    @cached_property
+    def str_order(self) -> List[int]:
+        """Variable indices sorted by ``str(variable)``, ties in index
+        order — the decomposition stack's deterministic ordering."""
+        keys = [str(v) for v in self.variables]
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
+    @cached_property
+    def str_rank(self) -> np.ndarray:
+        """Dense rank of ``str(variable)``: equal strings share a rank, so
+        a stable sort on it equals a stable sort on ``key=str``."""
+        return _dense_rank([str(v) for v in self.variables], self.str_order)
+
+    @cached_property
+    def _adjacency(self) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
+        # per-variable adjacency in the dict samplers' append order (both
+        # endpoints of each edge, interactions() emission order): a stable
+        # sort of the interleaved endpoints keeps that order per variable
+        n = self.num_variables
+        ends = np.column_stack((self.edge_u, self.edge_v)).ravel()
+        by_end = np.argsort(ends, kind="stable")
+        biases = np.repeat(self.edge_bias, 2)
+        nbrs = np.column_stack((self.edge_v, self.edge_u)).ravel()[by_end]
+        cpls = biases[by_end]
+        bounds = [0, *np.cumsum(np.bincount(ends, minlength=n)).tolist()]
+        spans = list(zip(bounds, bounds[1:]))
+        # |linear| + Σ|bias| per variable; ufunc.at adds in index order,
+        # the exact order the dict-based β-schedule heuristic used
+        totals = np.abs(self.linear)
+        np.add.at(totals, ends, np.abs(biases))
+        return [nbrs[a:b] for a, b in spans], [cpls[a:b] for a, b in spans], totals
+
+    @property
+    def neighbor_index(self) -> List[np.ndarray]:
+        """``neighbor_index[i]``: indices of ``i``'s neighbours."""
+        return self._adjacency[0]
+
+    @property
+    def neighbor_bias(self) -> List[np.ndarray]:
+        """``neighbor_bias[i]``: the couplings matching ``neighbor_index[i]``."""
+        return self._adjacency[1]
+
+    @property
+    def abs_totals(self) -> np.ndarray:
+        """``|linear_i| + Σ_j |bias_ij|`` per variable."""
+        return self._adjacency[2]
+
+    @cached_property
+    def _folds(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # each coupling in both directions, (source, target, bias,
+        # source-is-the-lower-endpoint), stably sorted by source
+        lo = np.minimum(self.edge_u, self.edge_v)
+        hi = np.maximum(self.edge_u, self.edge_v)
+        source = np.concatenate((lo, hi))
+        by_source = np.argsort(source, kind="stable")
+        forward = np.arange(2 * lo.size) < lo.size
+        return (
+            source[by_source],
+            np.concatenate((hi, lo))[by_source],
+            np.concatenate((self.edge_bias, self.edge_bias))[by_source],
+            forward[by_source],
+        )
+
+    @cached_property
+    def dense(self) -> Optional[np.ndarray]:
+        """Symmetric coupling matrix, or ``None`` for large sparse models."""
+        n, m = self.num_variables, self.num_interactions
+        size_threshold, density_threshold = self._thresholds
+        max_edges = n * (n - 1) / 2.0
+        density = (m / max_edges) if max_edges else 0.0
+        if not n or (n > size_threshold and density < density_threshold):
+            return None
+        # each unordered pair appears once, so no index repeats
+        dense = np.zeros((n, n), dtype=float)
+        dense[self.edge_u, self.edge_v] += self.edge_bias
+        dense[self.edge_v, self.edge_u] += self.edge_bias
+        return dense
+
+    @cached_property
+    def _spin(self) -> "CompiledBQM":
+        return self.change_vartype(Vartype.SPIN)
+
     @property
     def spin(self) -> "CompiledBQM":
-        """The compiled spin-domain companion (``self`` for spin models)."""
+        """The spin-domain companion (``self`` for spin models)."""
         if self.vartype is Vartype.SPIN:
             return self
-        if self._spin is None:
+        if not self._with_spin:
             raise ModelError(
                 "model was compiled with with_spin=False; recompile with "
                 "compile_bqm(bqm) to use the spin kernels"
@@ -153,8 +232,106 @@ class CompiledBQM:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledBQM({self.num_variables} variables, "
-            f"{self.num_interactions} interactions, {self.vartype.name}, "
-            f"dense={'yes' if self.dense is not None else 'no'})"
+            f"{self.num_interactions} interactions, {self.vartype.name})"
+        )
+
+    # ------------------------------------------------------------------
+    # Conversions
+    # ------------------------------------------------------------------
+    def change_vartype(self, vartype: Vartype) -> "CompiledBQM":
+        """The energy-equivalent model over ``vartype``, from the arrays.
+
+        Every coefficient is formed and summed in the order of
+        :meth:`BinaryQuadraticModel.change_vartype` (offset terms left
+        to right, each endpoint's linear terms in edge order), so the
+        result equals ``compile_bqm(bqm.change_vartype(vartype))``.
+        """
+        if vartype is self.vartype:
+            return self
+        lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = _SUBSTITUTION[vartype]
+        # ``0.0 +`` turns -0.0 into 0.0, as the dict conversion does
+        linear = 0.0 + lin_k * self.linear
+        ends = np.column_stack((self.edge_u, self.edge_v)).ravel()
+        np.add.at(linear, ends, np.repeat(quad_lin_k * self.edge_bias, 2))
+        offset = _sequential_sum(
+            self.offset, lin_off_k * self.linear, quad_off_k * self.edge_bias
+        )
+        return CompiledBQM(
+            vartype, offset, self.variables, linear,
+            self.edge_u, self.edge_v, 0.0 + quad_k * self.edge_bias,
+            dense_size_threshold=self._thresholds[0],
+            dense_density_threshold=self._thresholds[1],
+        )
+
+    def to_bqm(self) -> BinaryQuadraticModel:
+        """The dict model (same variable and :meth:`interactions` order)."""
+        variables = self.variables
+        return BinaryQuadraticModel(
+            dict(zip(variables, self.linear.tolist())),
+            {
+                (variables[u], variables[v]): bias
+                for u, v, bias in zip(
+                    self.edge_u.tolist(), self.edge_v.tolist(), self.edge_bias.tolist()
+                )
+            },
+            offset=self.offset,
+            vartype=self.vartype,
+        )
+
+    def to_numpy_matrix(self) -> Tuple[np.ndarray, float, Tuple[Hashable, ...]]:
+        """Dense upper-triangular QUBO matrix ``(Q, offset, variables)``,
+        equal to :meth:`BinaryQuadraticModel.to_numpy_matrix` of the
+        dict model (spin models are converted to binary first)."""
+        binary = self.change_vartype(Vartype.BINARY)
+        n = binary.num_variables
+        q = np.zeros((n, n), dtype=float)
+        q[np.arange(n), np.arange(n)] = binary.linear
+        # each unordered pair appears once, so no index repeats
+        rows = np.minimum(binary.edge_u, binary.edge_v)
+        cols = np.maximum(binary.edge_u, binary.edge_v)
+        q[rows, cols] += binary.edge_bias
+        return q, binary.offset, binary.variables
+
+    # ------------------------------------------------------------------
+    # Clamping
+    # ------------------------------------------------------------------
+    def clamp(self, block: Sequence[int], state: np.ndarray) -> "CompiledBQM":
+        """The subproblem over variable indices ``block``, every other
+        variable fixed at its value in ``state``.
+
+        Reproduces :func:`~repro.hybrid.decomposer.clamp_subproblem`
+        bit for bit: variables are fixed in index order, each coupling
+        to a fixed variable folds ``bias * value`` into the other
+        endpoint's linear term when the first of its endpoints is
+        fixed, and each fixed variable adds ``linear * value`` (its
+        folds included) to the offset.  The subproblem keeps the model's
+        variable order, whatever the order of ``block``.
+        """
+        n = self.num_variables
+        state = np.asarray(state, dtype=float)
+        free = np.zeros(n, dtype=bool)
+        free[np.asarray(block, dtype=np.intp)] = True
+        source, target, bias, forward = self._folds
+        # a coupling folds once, from its lower fixed endpoint: lower →
+        # upper when the lower is fixed, upper → lower when only the upper
+        # is; folds sorted by source replay the fix order per target
+        active = ~free[source] & (forward | free[target])
+        linear = self.linear.copy()
+        np.add.at(linear, target[active], bias[active] * state[source[active]])
+
+        fixed = np.flatnonzero(~free)
+        offset = _sequential_sum(self.offset, linear[fixed] * state[fixed])
+        keep = np.flatnonzero(free)
+        position = np.cumsum(free) - 1
+        inner = free[self.edge_u] & free[self.edge_v]
+        variables = self.variables
+        return CompiledBQM(
+            self.vartype, offset, [variables[i] for i in keep.tolist()], linear[keep],
+            position[self.edge_u[inner]], position[self.edge_v[inner]],
+            self.edge_bias[inner],
+            with_spin=self._with_spin,
+            dense_size_threshold=self._thresholds[0],
+            dense_density_threshold=self._thresholds[1],
         )
 
     # ------------------------------------------------------------------
@@ -180,13 +357,13 @@ class CompiledBQM:
             return np.empty((0, len(self.variables)), dtype=float)
         return np.stack(rows)
 
+    def to_sample(self, state: np.ndarray) -> Dict[Hashable, int]:
+        """One ``(n,)`` state vector → assignment dict with int values."""
+        return dict(zip(self.variables, np.asarray(state).astype(np.int64).tolist()))
+
     def states_to_samples(self, states: np.ndarray) -> List[Dict[Hashable, int]]:
         """``(rows, n)`` matrix → assignment dicts with int values."""
-        ints = states.astype(np.int64)
-        variables = self.variables
-        return [
-            {variables[i]: int(row[i]) for i in range(len(variables))} for row in ints
-        ]
+        return [self.to_sample(row) for row in states]
 
     # ------------------------------------------------------------------
     # Energy evaluation
@@ -281,6 +458,58 @@ class CompiledBQM:
             fields[row, neighbors] += shift * self.neighbor_bias[i]
 
 
+def _sequential_sum(start: float, *terms: np.ndarray) -> float:
+    """``start + t0 + t1 + ...`` strictly left to right, as a Python
+    ``+=`` loop sums (``ufunc.accumulate`` never sums pairwise)."""
+    series = np.concatenate(([start], *terms))
+    return float(np.add.accumulate(series)[-1])
+
+
+def _dense_rank(keys: Sequence, order: Sequence[int]) -> np.ndarray:
+    """Rank of each key in ``order`` (its stable sort), equal keys equal."""
+    rank = np.empty(len(keys), dtype=np.intp)
+    current, previous = -1, None
+    for position, i in enumerate(order):
+        if position == 0 or keys[i] != previous:
+            current, previous = current + 1, keys[i]
+        rank[i] = current
+    return rank
+
+
+def coalesce_interactions(
+    variables: Sequence[Hashable],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    biases: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges of a stream of ``add_quadratic(rows[k], cols[k], biases[k])``
+    calls on a dict model with ``variables`` registered in order.
+
+    Returns ``(edge_u, edge_v, edge_bias)`` exactly as
+    :meth:`BinaryQuadraticModel.interactions` of that model emits them:
+    each pair's biases summed from ``0.0`` in call order, pairs ordered
+    by their lower-index endpoint and then by first call, each pair
+    oriented by ``(type name, str)``.  ``rows[k] != cols[k]`` for all
+    ``k``.
+    """
+    n = len(variables)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    lo = np.minimum(rows, cols)
+    pairs, first, inverse = np.unique(
+        lo * n + np.maximum(rows, cols), return_index=True, return_inverse=True
+    )
+    summed = np.zeros(pairs.size, dtype=float)
+    np.add.at(summed, inverse.ravel(), np.asarray(biases, dtype=float))
+    pair_lo, pair_hi = np.divmod(pairs, n)
+    walk = np.lexsort((first, pair_lo))
+    pair_lo, pair_hi, summed = pair_lo[walk], pair_hi[walk], summed[walk]
+    keys = [(str(type(v)), str(v)) for v in variables]
+    rank = _dense_rank(keys, sorted(range(n), key=keys.__getitem__))
+    swap = rank[pair_hi] < rank[pair_lo]
+    return np.where(swap, pair_hi, pair_lo), np.where(swap, pair_lo, pair_hi), summed
+
+
 def compile_bqm(
     bqm: BinaryQuadraticModel,
     with_spin: bool = True,
@@ -289,13 +518,9 @@ def compile_bqm(
 ) -> CompiledBQM:
     """Lower a dict-backed model into its array-backed compiled form.
 
-    ``with_spin`` additionally compiles the spin-domain companion that
-    the annealing/tabu kernels sweep (a no-op for spin models); pass
-    ``False`` for evaluation-only uses to skip one conversion walk.
-
-    The dense coupling matrix is materialized for models at or under
-    ``dense_size_threshold`` variables, or whose interaction density
-    exceeds ``dense_density_threshold``.
+    ``with_spin=False`` forbids the spin companion the annealing/tabu
+    kernels sweep (it is otherwise converted on first use).  See
+    :class:`CompiledBQM` for the dense-matrix thresholds.
     """
     variables = bqm.variables
     n = len(variables)
@@ -304,36 +529,20 @@ def compile_bqm(
     linear = np.fromiter((linear_map[v] for v in variables), dtype=float, count=n)
     terms = list(bqm.interactions())
     m = len(terms)
-    edge_u = np.fromiter((index[t[0]] for t in terms), dtype=np.intp, count=m)
-    edge_v = np.fromiter((index[t[1]] for t in terms), dtype=np.intp, count=m)
-    edge_bias = np.fromiter((t[2] for t in terms), dtype=float, count=m)
-
-    dense: Optional[np.ndarray] = None
-    max_edges = n * (n - 1) / 2.0
-    density = (m / max_edges) if max_edges else 0.0
-    if n and (n <= dense_size_threshold or density >= dense_density_threshold):
-        # each unordered pair appears once, so no index repeats
-        dense = np.zeros((n, n), dtype=float)
-        dense[edge_u, edge_v] += edge_bias
-        dense[edge_v, edge_u] += edge_bias
-
-    spin: Optional[CompiledBQM] = None
-    if with_spin and bqm.vartype is Vartype.BINARY:
-        spin = compile_bqm(
-            bqm.change_vartype(Vartype.SPIN),
-            with_spin=False,
-            dense_size_threshold=dense_size_threshold,
-            dense_density_threshold=dense_density_threshold,
-        )
-
     return CompiledBQM(
-        vartype=bqm.vartype,
-        offset=bqm.offset,
-        variables=variables,
-        linear=linear,
-        edge_u=edge_u,
-        edge_v=edge_v,
-        edge_bias=edge_bias,
-        dense=dense,
-        spin=spin,
+        bqm.vartype,
+        bqm.offset,
+        variables,
+        linear,
+        np.fromiter((index[t[0]] for t in terms), dtype=np.intp, count=m),
+        np.fromiter((index[t[1]] for t in terms), dtype=np.intp, count=m),
+        np.fromiter((t[2] for t in terms), dtype=float, count=m),
+        with_spin=with_spin,
+        dense_size_threshold=dense_size_threshold,
+        dense_density_threshold=dense_density_threshold,
     )
+
+
+def as_compiled(model: Union[BinaryQuadraticModel, CompiledBQM]) -> CompiledBQM:
+    """``model`` itself when already compiled, else ``compile_bqm(model)``."""
+    return model if isinstance(model, CompiledBQM) else compile_bqm(model)

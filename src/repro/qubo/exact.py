@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.qubo.bqm import BinaryQuadraticModel, Vartype
+from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.compiled import CompiledBQM
 
 _MAX_EXACT_VARIABLES = 26
+#: enumerations up to this size reuse one cached assignment matrix
+_CACHED_BITS = 12
 _ENERGY_SUBSCRIPTS = "ij,jk,ik->i"
 
 
@@ -31,6 +34,18 @@ def _contraction_path(rows: int, n: int) -> tuple:
     bits = np.broadcast_to(0.0, (rows, n))
     q = np.broadcast_to(0.0, (n, n))
     return tuple(np.einsum_path(_ENERGY_SUBSCRIPTS, bits, q, bits, optimize=True)[0])
+
+
+@lru_cache(maxsize=None)
+def _all_bits(n: int) -> np.ndarray:
+    """Every assignment of ``n`` variables as float rows (row ``i`` holds
+    the bits of ``i``), built once per ``n`` up to :data:`_CACHED_BITS`."""
+    indices = np.arange(1 << n, dtype=np.uint32)
+    bits = ((indices[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1).astype(
+        np.float64
+    )
+    bits.flags.writeable = False
+    return bits
 
 
 def _assignment_energies(bits: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -54,8 +69,13 @@ class ExactResult:
             object.__setattr__(self, "all_optima", (dict(self.sample),))
 
 
-def brute_force_minimum(bqm: BinaryQuadraticModel) -> ExactResult:
+def brute_force_minimum(bqm: Union[BinaryQuadraticModel, CompiledBQM]) -> ExactResult:
     """Enumerate every assignment and return the ground state.
+
+    ``bqm`` may be a dict model or a :class:`CompiledBQM`; both build
+    the same ``Q`` (``to_numpy_matrix``), so the optimum and the list of
+    optima are identical.  Spin models are enumerated over their binary
+    form; only the reported sample values change domain.
 
     Raises
     ------
@@ -81,14 +101,20 @@ def brute_force_minimum(bqm: BinaryQuadraticModel) -> ExactResult:
     optimal_indices: List[int] = []
     for start in range(0, count, chunk):
         indices = np.arange(start, min(start + chunk, count), dtype=np.uint32)
-        bits = ((indices[:, None] >> shifts) & 1).astype(np.float64)
+        if n <= _CACHED_BITS:
+            bits = _all_bits(n)
+        else:
+            bits = ((indices[:, None] >> shifts) & 1).astype(np.float64)
         energies = _assignment_energies(bits, q) + offset
         chunk_best = float(energies.min())
         if chunk_best < best - 1e-9:
             best = chunk_best
             optimal_indices = []
         if chunk_best <= best + 1e-9:
-            rows = np.flatnonzero(np.isclose(energies, best, rtol=0.0, atol=1e-9))
+            # np.isclose(energies, best, rtol=0.0, atol=1e-9), minus its
+            # per-call overhead on the hybrid solver's many small blocks
+            close = (np.abs(energies - best) <= 1e-9) | (energies == best)
+            rows = np.flatnonzero(close)
             optimal_indices.extend(int(indices[r]) for r in rows[:64])
     optimal_indices = optimal_indices[:64]
     lo, hi = bqm.vartype.values
@@ -97,10 +123,6 @@ def brute_force_minimum(bqm: BinaryQuadraticModel) -> ExactResult:
         return {v: (hi if (value >> i) & 1 else lo) for i, v in enumerate(order)}
 
     optima: List[Dict[Hashable, int]] = [index_to_sample(v) for v in optimal_indices]
-    if bqm.vartype is Vartype.SPIN:
-        # to_numpy_matrix evaluates the binary-converted model; energies
-        # are identical, only the reported sample values change domain.
-        pass
     return ExactResult(sample=optima[0], energy=best, all_optima=tuple(optima))
 
 

@@ -30,5 +30,5 @@ def extract_features(adapter) -> ProblemFeatures:
     :mod:`repro.service.problems`)."""
     return ProblemFeatures(
         kind=str(getattr(adapter, "kind", "unknown")),
-        num_variables=int(adapter.bqm().num_variables),
+        num_variables=int(adapter.compiled().num_variables),
     )

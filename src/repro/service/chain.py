@@ -243,9 +243,10 @@ def _run_stage(adapter, spec: StageSpec, seed: int, budget_s: float) -> Dict[str
     kwargs: Dict[str, Any] = {}
     if supports_time_budget(solver):
         kwargs["time_budget"] = budget_s
-    if supports_compiled(solver) and hasattr(adapter, "compiled"):
-        kwargs["compiled"] = adapter.compiled()
-    result = solver.solve(adapter.bqm(), seed=seed, **kwargs)
+    # array-capable stages solve the cached compiled model; only the
+    # others make the adapter build its dict model
+    model = adapter.compiled() if supports_compiled(solver) else adapter.bqm()
+    result = solver.solve(model, seed=seed, **kwargs)
     plan, cost, valid = adapter.decode(result.sample)
     seconds = time.perf_counter() - start
     return {

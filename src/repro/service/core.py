@@ -224,8 +224,7 @@ class OptimizationService:
             self.metrics.incr("cache.compile_hits")
             return cached
         self.metrics.incr("cache.compile_misses")
-        probe.bqm()  # compile eagerly so the cached adapter is immutable
-        probe.compiled()  # array-compiled kernels, same cache entry
+        probe.compiled()  # build eagerly: the cached adapter serves from it
         self.cache.put_compiled(probe.fingerprint, probe)
         return probe
 

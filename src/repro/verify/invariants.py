@@ -18,7 +18,9 @@ Catalog
 ``qubo-round-trip``             ``to_qubo`` → ``from_qubo`` preserves
                                 energies exactly
 ``fix-variable-conservation``   ``fix_variable`` folds the eliminated
-                                variable's contribution into the offset
+                                variable's contribution into the offset,
+                                and ``CompiledBQM.clamp`` equals the
+                                dict clamp bit for bit
 ``matrix-energy``               dense ``x^T Q x + c`` matches
                                 :meth:`BinaryQuadraticModel.energy`
 ``compiled-energy-consistency``  the array-compiled kernels
@@ -212,14 +214,29 @@ def check_fix_variable_conservation(
     bqm: BinaryQuadraticModel,
     samples: Sequence[Mapping[Hashable, int]],
     subject: str = "bqm",
+    seed: int = 0,
+    drop_clamp_fold: bool = False,
 ) -> List[Violation]:
-    """``fix_variable`` conserves ``energy(s) == energy(s | fixed)``.
+    """``fix_variable`` conserves ``energy(s) == energy(s | fixed)``, and
+    the array clamp equals the dict clamp bit for bit.
 
-    The eliminated variable's linear and incident quadratic
-    contributions must be folded into the reduced model's offset and
-    linear terms, so for every assignment agreeing with the fixed
-    value the full and reduced energies coincide.
+    1. The eliminated variable's linear and incident quadratic
+       contributions must be folded into the reduced model's offset and
+       linear terms, so for every assignment agreeing with the fixed
+       value the full and reduced energies coincide.
+    2. For one seeded block per sample, :meth:`CompiledBQM.clamp` (the
+       decomposition loop's clamp) must equal ``compile_bqm`` of
+       :func:`~repro.hybrid.decomposer.clamp_subproblem` (repeated
+       ``fix_variable``): same variables, offset and biases, compared
+       by ``repr`` so -0.0 counts.
+
+    ``drop_clamp_fold`` plants a clamp bug for harness self-tests: one
+    boundary coupling's fold is left out of the subproblem's linear
+    terms.
     """
+    from repro.hybrid.decomposer import clamp_subproblem
+    from repro.qubo.compiled import compile_bqm
+
     violations: List[Violation] = []
     for v in bqm.variables:
         for value in bqm.vartype.values:
@@ -248,7 +265,76 @@ def check_fix_variable_conservation(
                         )
                     )
                     break  # one witness per (variable, value) is enough
+
+    compiled = compile_bqm(bqm)
+    n = compiled.num_variables
+    rng = np.random.default_rng(seed)
+    clamp = _clamp_dropping_a_fold if drop_clamp_fold else type(compiled).clamp
+    for index, sample in enumerate(samples):
+        if not n:
+            break
+        block = sorted(rng.choice(n, size=max(1, n // 2), replace=False).tolist())
+        got = clamp(compiled, block, compiled.state_vector(sample))
+        want = compile_bqm(
+            clamp_subproblem(bqm, [compiled.variables[i] for i in block], sample)
+        )
+        mismatched = [
+            name
+            for name, (a, b) in _compiled_fields(got, want).items()
+            if a != b
+        ]
+        if mismatched:
+            violations.append(
+                Violation(
+                    invariant="fix-variable-conservation",
+                    subject=subject,
+                    message=(
+                        f"array clamp of a {len(block)}-variable block differs "
+                        f"from the dict clamp in {', '.join(mismatched)} on "
+                        f"sample {index}"
+                    ),
+                    details={"sample_index": index, "block": block, "fields": mismatched},
+                )
+            )
     return violations
+
+
+def _compiled_fields(a, b) -> Dict[str, tuple]:
+    """Pairs of every field of two compiled models, as comparable values."""
+    return {
+        "variables": (a.variables, b.variables),
+        "vartype": (a.vartype, b.vartype),
+        "offset": (repr(a.offset), repr(b.offset)),
+        **{
+            name: (repr(getattr(a, name).tolist()), repr(getattr(b, name).tolist()))
+            for name in ("linear", "edge_u", "edge_v", "edge_bias")
+        },
+    }
+
+
+def _clamp_dropping_a_fold(compiled, block, state):
+    """:meth:`CompiledBQM.clamp` with the first non-zero boundary fold
+    (``bias * value`` of a coupling from the block to a fixed variable)
+    left out of the subproblem's linear terms — the planted clamp bug."""
+    from repro.qubo.compiled import CompiledBQM
+
+    sub = compiled.clamp(block, state)
+    free = set(block)
+    for u, v, bias in zip(
+        compiled.edge_u.tolist(), compiled.edge_v.tolist(), compiled.edge_bias.tolist()
+    ):
+        if (u in free) == (v in free):
+            continue
+        inside, outside = (u, v) if u in free else (v, u)
+        fold = bias * state[outside]
+        if fold:
+            linear = sub.linear.copy()
+            linear[sub.index[compiled.variables[inside]]] -= fold
+            return CompiledBQM(
+                sub.vartype, sub.offset, sub.variables, linear,
+                sub.edge_u, sub.edge_v, sub.edge_bias,
+            )
+    return sub
 
 
 def check_matrix_energy(

@@ -15,7 +15,8 @@ count per solver in the summaries:
 ``chain``       the service fallback chain on one case under an ample
                 deadline: a valid plan within the same bounds
 ``invariants``  the per-case catalog: encoding round-trips, ``fix_variable``
-                conservation, decode consistency, embedding validity
+                conservation and the array clamp, decode consistency,
+                embedding validity
 ``gate``        transpiled-circuit statevector equivalence
 ``sql``         ``sql-plan-consistency`` on generated TPC-H-style queries
 ``routing``     ``routing-regret`` of the deadline-aware router on one case
@@ -111,6 +112,7 @@ class Plant:
     ising_j_scale: float = 1.0  # on the Ising couplings in the round trip
     decode_cost_shift: float = 0.0  # added to the decoded plan cost
     drop_compiled_term: bool = False  # compiled kernels drop one interaction
+    drop_clamp_fold: bool = False  # the array clamp drops one boundary fold
     sql_drift: float = 1.0  # on the extracted SQL graph's join selectivities
     router_scale: float = 1.0  # on the router's runtime predictions
     reconcile: bool = True  # boundary pass after the naive shard merge
@@ -314,13 +316,15 @@ def _solver_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, 
 
 def _chain_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, Any]:
     """Run the service fallback chain on one case under ample deadline."""
+    from repro.qubo.compiled import compile_bqm
     from repro.service.chain import default_policy, run_chain
 
     built = build_case(_case_from_params(params))
     oracle = _oracle_record(params)
-    # the chain solves adapter.bqm(), compiled lazily and cached on the
-    # adapter: planting there reaches every stage
-    built.adapter._bqm = _planted_bqm(built.adapter.bqm(), plant)
+    # chain stages solve adapter.compiled() or adapter.bqm(), both cached
+    # on the adapter: planting in both reaches every stage
+    planted = _planted_bqm(built.adapter.bqm(), plant)
+    built.adapter._bqm, built.adapter._compiled = planted, compile_bqm(planted)
 
     outcome = run_chain(
         built.adapter,
@@ -387,7 +391,9 @@ def _invariants_check(
         drop_interaction=plant.drop_compiled_term,
         seed=seed,
     )
-    violations += check_fix_variable_conservation(bqm, samples[:6], subject=subject)
+    violations += check_fix_variable_conservation(
+        bqm, samples[:6], subject=subject, seed=seed, drop_clamp_fold=plant.drop_clamp_fold
+    )
 
     rng = np.random.default_rng(seed)
     if params["kind"] == "mqo":
@@ -600,6 +606,8 @@ PLANTED_BUGS: Dict[str, PlantedBug] = {
                    Plant(energy_shift=-0.5)),
         PlantedBug("compiled", ("invariants",), "compiled-energy-consistency",
                    Plant(drop_compiled_term=True)),
+        PlantedBug("clamp", ("invariants",), "fix-variable-conservation",
+                   Plant(drop_clamp_fold=True)),
         PlantedBug("sql", ("sql",), "sql-plan-consistency", Plant(sql_drift=0.99)),
         # a router that believes every stage is ~20x faster than it is
         PlantedBug("router", ("routing",), "routing-regret", Plant(router_scale=0.05)),

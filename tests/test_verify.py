@@ -373,7 +373,7 @@ class TestCli:
         assert code == 1
         assert "error: planted bug(s) escaped: sql" in captured.err
         lines = captured.out.splitlines()
-        assert "7/8 caught" in lines[0]
+        assert f"{len(PLANTED_BUGS) - 1}/{len(PLANTED_BUGS)} caught" in lines[0]
         assert len(lines) == 1 + len(PLANTED_BUGS)
         for name, line in zip(PLANTED_BUGS, lines[1:]):
             status = "ESCAPED" if name == "sql" else "caught"
