@@ -47,6 +47,15 @@ class Vartype(enum.Enum):
         return (-1, 1)
 
 
+#: multipliers of the substitution into each vartype: a linear bias
+#: goes into (linear, offset), a quadratic bias into (quadratic, each
+#: endpoint's linear, offset)
+SUBSTITUTION = {
+    Vartype.SPIN: (0.5, 0.5, 0.25, 0.25, 0.25),  # x = (s + 1)/2
+    Vartype.BINARY: (2.0, -1.0, 4.0, -2.0, 1.0),  # s = 2x - 1
+}
+
+
 class BinaryQuadraticModel:
     """A quadratic polynomial over binary or spin variables.
 
@@ -275,12 +284,7 @@ class BinaryQuadraticModel:
         """
         if vartype is self._vartype:
             return self.copy()
-        # multipliers of a linear bias (into linear, offset) and of a
-        # quadratic bias (into quadratic, each endpoint's linear, offset)
-        if vartype is Vartype.SPIN:  # x = (s + 1)/2
-            lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = 0.5, 0.5, 0.25, 0.25, 0.25
-        else:  # s = 2x - 1
-            lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = 2.0, -1.0, 4.0, -2.0, 1.0
+        lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = SUBSTITUTION[vartype]
         out = BinaryQuadraticModel(vartype=vartype)
         linear, adj, offset = out._linear, out._adj, self.offset
         # ``0.0 +`` turns -0.0 into 0.0, as add_linear and add_quadratic do

@@ -60,7 +60,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.exceptions import ModelError, VariableError
-from repro.qubo.bqm import BinaryQuadraticModel, Vartype
+from repro.qubo.bqm import SUBSTITUTION, BinaryQuadraticModel, Vartype
 
 __all__ = ["CompiledBQM", "as_compiled", "coalesce_interactions", "compile_bqm"]
 
@@ -68,14 +68,6 @@ __all__ = ["CompiledBQM", "as_compiled", "coalesce_interactions", "compile_bqm"]
 DENSE_SIZE_THRESHOLD = 64
 #: larger models get it too when the interaction density is above this
 DENSE_DENSITY_THRESHOLD = 0.25
-
-#: (linear, linear→offset, quadratic, quadratic→each endpoint's linear,
-#: quadratic→offset) multipliers of the substitution into each vartype,
-#: as in :meth:`BinaryQuadraticModel.change_vartype`
-_SUBSTITUTION = {
-    Vartype.SPIN: (0.5, 0.5, 0.25, 0.25, 0.25),  # x = (s + 1)/2
-    Vartype.BINARY: (2.0, -1.0, 4.0, -2.0, 1.0),  # s = 2x - 1
-}
 
 
 class CompiledBQM:
@@ -248,7 +240,7 @@ class CompiledBQM:
         """
         if vartype is self.vartype:
             return self
-        lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = _SUBSTITUTION[vartype]
+        lin_k, lin_off_k, quad_k, quad_lin_k, quad_off_k = SUBSTITUTION[vartype]
         # ``0.0 +`` turns -0.0 into 0.0, as the dict conversion does
         linear = 0.0 + lin_k * self.linear
         ends = np.column_stack((self.edge_u, self.edge_v)).ravel()
