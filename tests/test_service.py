@@ -180,6 +180,49 @@ class TestChain:
         assert outcome.valid
         assert adapter.validate(outcome.plan)
 
+    #: SHA-256 of every built-in solver's single-stage plans below; a change
+    #: means some registry solver serves a different plan, cost or energy --
+    #: do not re-pin it to paper over a change that was meant to be
+    #: bit-identical
+    REGISTRY_PLAN_DIGEST = "be442ef07a8cb8710c06fdb50696db1eb77027fe7f211a201104017b19072ee0"
+
+    def test_registry_plan_digest_pinned(self):
+        from repro.hybrid import make_solver, solver_names
+        from repro.sql import SqlQuery, tpch_catalog
+
+        sql = (
+            "SELECT * FROM customer AS c JOIN orders AS o ON c.c_custkey = o.o_custkey "
+            "JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey WHERE c.c_acctbal >= 100"
+        )
+        # 6, 9 and 9 qubits: small enough for the statevector eigensolvers
+        problems = [
+            ("mqo", random_mqo_problem(3, 2, seed=11)),
+            ("join_order", chain_query(3, seed=11)),
+            ("sql", SqlQuery(sql=sql, catalog=tpch_catalog())),
+        ]
+        # built-in entries only: aliases (``exhaustive``) report another
+        # name, and test doubles live outside the package
+        names = [
+            name
+            for name in solver_names()
+            if make_solver(name).name == name
+            and type(make_solver(name)).__module__.startswith("repro.")
+        ]
+        assert len(names) == 10
+        rows = []
+        for name in names:
+            for kind, problem in problems:
+                # a 60 s deadline keeps every budgeted stage untruncated
+                outcome = run_chain(
+                    make_adapter(kind, problem), parse_policy(name), deadline_s=60.0, seed=7
+                )
+                rows.append(
+                    [name, kind, outcome.plan, repr(outcome.cost),
+                     repr(outcome.energy), outcome.served_by]
+                )
+        blob = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == self.REGISTRY_PLAN_DIGEST
+
 
 class TestDeadlineSemantics:
     def test_mid_chain_expiry_returns_best_so_far(self, mqo_problem):
