@@ -2,17 +2,21 @@
 
 Measures the two layers the compiled representation accelerates:
 
-* **sweeps** — Metropolis-style annealing sweeps.  The baseline is the
-  dict-of-dicts inner loop every solver used before the compiled form
-  existed: per read, per variable, a Python dict walk over the
-  adjacency to form the local field.  The compiled kernel runs the
-  same schedule as one batched ``(num_reads, n)`` numpy update per
-  variable (the :mod:`repro.annealing.simulated_annealing` inner loop).
+* **sweeps** — Metropolis-style annealing sweeps at a fixed β = 2.
+  The baseline is the dict-of-dicts inner loop every solver used
+  before the compiled form existed: per read, per variable, a Python
+  dict walk over the adjacency to form the local field.  The compiled
+  side is the shipped
+  :class:`~repro.annealing.simulated_annealing.SimulatedAnnealingSampler`
+  (``beta_range=(2.0, 2.0)``, no greedy postprocess) sampling the
+  compiled model: the same schedule as one batched ``(num_reads, n)``
+  numpy update per variable, plus building its ``SampleSet``.
   Reported as *variable-sweeps per second* (``num_sweeps × num_reads``
   full passes over all ``n`` variables, divided by wall time).
 * **energies** — bulk energy evaluation of a sample batch:
   ``BinaryQuadraticModel.energy`` in a loop vs
-  ``CompiledBQM.energies`` in one vectorized pass.
+  ``CompiledBQM.energies_compat`` in one vectorized pass, which must
+  agree bit for bit.
 * **cold** — the serving cold path's model layers, dict path against
   arrays, in milliseconds per request over cold requests of the replay
   stream (every request a new problem): *build* (``builder.build()``
@@ -22,9 +26,9 @@ Measures the two layers the compiled representation accelerates:
   state) and *enumerate* (``brute_force_minimum`` of each clamped
   block in either form), each the fastest of 3 runs and with its
   ``speedup`` (dict / arrays).
-* **tabu** — wall time of one ``TabuSampler.sample`` call (the
-  sampler's default tenure and stopping rules) per model size and read
-  count, as median and quartiles over repeats.  Models up to 49
+* **tabu** — wall time of one ``TabuSampler.sample`` call on the
+  compiled model (the sampler's default tenure and stopping rules) per
+  model size and read count, as median and quartiles over repeats.  Models up to 49
   variables have the interaction density of the join-order and MQO
   models the hybrid stage serves (~0.45); larger ones are sparser.
   ``best_energy`` is recorded so two trees' tables can be checked for
@@ -48,6 +52,7 @@ import time
 
 import numpy as np
 
+from repro.annealing.simulated_annealing import SimulatedAnnealingSampler
 from repro.hybrid.decomposer import clamp_subproblem, energy_impact_indices
 from repro.hybrid.tabu import TabuSampler
 from repro.joinorder.direct_qubo import DirectJoinOrderQubo
@@ -134,30 +139,6 @@ def dict_sweeps(bqm, num_sweeps: int, num_reads: int, seed: int) -> np.ndarray:
     )
 
 
-def compiled_sweeps(compiled, num_sweeps: int, num_reads: int, seed: int) -> np.ndarray:
-    """The batched kernel: one vectorized update over all reads."""
-    rng = np.random.default_rng(seed)
-    n = compiled.num_variables
-    h = compiled.linear
-    neighbors = compiled.neighbor_index
-    couplings = compiled.neighbor_bias
-    beta = 2.0
-
-    spins = rng.choice((-1.0, 1.0), size=(num_reads, n))
-    for _ in range(num_sweeps):
-        for i in rng.permutation(n):
-            if len(neighbors[i]):
-                field = h[i] + spins[:, neighbors[i]] @ couplings[i]
-            else:
-                field = np.full(num_reads, h[i])
-            delta = -2.0 * spins[:, i] * field
-            accept = (delta < 0) | (
-                rng.random(num_reads) < np.exp(-beta * np.clip(delta, 0, 700))
-            )
-            spins[accept, i] *= -1.0
-    return spins
-
-
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
@@ -175,8 +156,11 @@ def bench_point(n: int, density: float, num_sweeps: int, num_reads: int, seed: i
     dict_sweeps(bqm, num_sweeps, num_reads, seed)
     dict_s = time.perf_counter() - start
 
+    sampler = SimulatedAnnealingSampler(
+        num_sweeps, beta_range=(2.0, 2.0), greedy_postprocess=False, seed=seed
+    )
     start = time.perf_counter()
-    compiled_sweeps(compiled, num_sweeps, num_reads, seed)
+    sampler.sample(compiled, num_reads)
     compiled_s = time.perf_counter() - start
 
     # bulk energy evaluation on a shared batch
@@ -187,9 +171,9 @@ def bench_point(n: int, density: float, num_sweeps: int, num_reads: int, seed: i
     dict_energies = np.array([bqm.energy(s) for s in samples])
     dict_energy_s = time.perf_counter() - start
     start = time.perf_counter()
-    fast_energies = compiled.energies(states)
+    compiled_energies = compiled.energies_compat(states)
     compiled_energy_s = time.perf_counter() - start
-    if not np.allclose(dict_energies, fast_energies, atol=1e-6):
+    if not np.array_equal(dict_energies, compiled_energies):
         raise AssertionError("compiled energies diverged from the dict model")
 
     timings = {
@@ -215,7 +199,7 @@ def bench_tabu(n: int, density: float, num_reads: int, seed: int):
     compiled = compile_bqm(bqm)
     sampler = TabuSampler(seed=seed)
     start = time.perf_counter()
-    result = sampler.sample(bqm, num_reads=num_reads, compiled=compiled)
+    result = sampler.sample(compiled, num_reads=num_reads)
     ms = 1e3 * (time.perf_counter() - start)
     info = {
         "num_variables": n,

@@ -228,7 +228,6 @@ class AnnealerDevice:
         bqm: BinaryQuadraticModel,
         num_reads: int,
         root_seed: int,
-        compiled=None,
     ) -> tuple:
         """Anneal one admitted subproblem; returns ``(sample, energy)``.
 
@@ -247,10 +246,7 @@ class AnnealerDevice:
             )
         seed = self.solve_seed(root_seed, bqm_fingerprint(bqm))
         start = time.perf_counter()
-        extra = {} if compiled is None else {"compiled": compiled}
-        sample_set = self.sampler.sample(
-            bqm, num_reads=num_reads, seed=seed, **extra
-        )
+        sample_set = self.sampler.sample(bqm, num_reads=num_reads, seed=seed)
         elapsed = time.perf_counter() - start
         with self._lock:
             self.dispatches += 1

@@ -7,11 +7,10 @@ vectors, so one sweep is ``n`` vectorised updates rather than
 ``n * num_reads`` scalar ones.
 
 The sweep kernel runs over the compiled array form of the model
-(:mod:`repro.qubo.compiled`): pass a compiled model (or ``compiled=``
-beside a dict model) to :meth:`sample` to skip the per-call
-compilation entirely (the service's compilation cache does), and the
-final per-read energies are evaluated as one vectorized pass instead
-of a dict walk per read.  RNG draw order and
+(:mod:`repro.qubo.compiled`): pass a compiled model to :meth:`sample`
+to skip the per-call compilation entirely (the service's compilation
+cache does), and the final per-read energies are evaluated as one
+vectorized pass instead of a dict walk per read.  RNG draw order and
 the per-term float accumulation order are preserved exactly, so
 results are bit-identical to the dict-backed seed implementation —
 ``tests/test_golden_seed_compat.py`` pins that.
@@ -56,23 +55,20 @@ class SimulatedAnnealingSampler:
         bqm: Union[BinaryQuadraticModel, CompiledBQM],
         num_reads: int = 10,
         seed: Optional[int] = None,
-        compiled: Optional[CompiledBQM] = None,
     ) -> SampleSet:
         """Anneal ``num_reads`` independent replicas.
 
-        ``bqm`` may itself be a :class:`CompiledBQM`; ``compiled``
-        reuses a pre-compiled form of a dict ``bqm`` (it must be
-        ``compile_bqm(bqm)`` of this exact model); when neither is
-        compiled the model is compiled on the fly.  Returns a
-        :class:`SampleSet` in the vartype of the input model, with
-        duplicate reads merged into ``num_occurrences``.
+        ``bqm`` may itself be a :class:`CompiledBQM`; a dict model is
+        compiled on the fly.  Returns a :class:`SampleSet` in the
+        vartype of the input model, with duplicate reads merged into
+        ``num_occurrences``.
         """
         if num_reads < 1:
             raise SolverError("num_reads must be positive")
         if bqm.num_variables == 0:
             return SampleSet.from_samples([{}], [bqm.offset], vartype=bqm.vartype)
 
-        cbqm = compiled if compiled is not None else as_compiled(bqm)
+        cbqm = as_compiled(bqm)
         spin = cbqm.spin
         n = spin.num_variables
         h = spin.linear

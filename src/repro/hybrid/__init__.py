@@ -11,6 +11,10 @@ layer for the reproduction:
   decomposition loop (energy-impact block selection with a
   graph-partition fallback, boundary clamping, exact or local-search
   sub-solves, round-robin until converged);
+* :mod:`~repro.hybrid.decomposer` — its primitives, on
+  :class:`~repro.qubo.compiled.CompiledBQM` arrays, state vectors and
+  variable indices, plus :func:`clamp_subproblem`, the dict-model clamp
+  the array clamp is checked against;
 * :class:`~repro.hybrid.tabu.TabuSampler` — Ocean-compatible tabu
   search, the default classical sub-solver;
 * :mod:`~repro.hybrid.reconcile` — boundary reconciliation for
@@ -24,13 +28,12 @@ layer for the reproduction:
 
 from repro.hybrid.decomposer import (
     clamp_subproblem,
-    component_weights,
-    flip_energy_gains,
-    greedy_descent,
+    component_weight_indices,
+    descend,
+    energy_impact_indices,
+    flip_gains,
     pack_components,
-    select_by_energy_impact,
-    select_by_graph_partition,
-    strong_components,
+    strong_component_indices,
 )
 from repro.hybrid.registry import (
     Solver,
@@ -41,7 +44,7 @@ from repro.hybrid.registry import (
     supports_time_budget,
     valid_options,
 )
-from repro.hybrid.reconcile import frontier_variables, reconcile_boundary
+from repro.hybrid.reconcile import frontier_indices, reconcile_states
 from repro.hybrid.solver import DecomposingSolver, SolveResult
 from repro.hybrid.tabu import TabuSampler
 
@@ -51,19 +54,18 @@ __all__ = [
     "Solver",
     "TabuSampler",
     "clamp_subproblem",
-    "component_weights",
-    "flip_energy_gains",
-    "frontier_variables",
-    "greedy_descent",
+    "component_weight_indices",
+    "descend",
+    "energy_impact_indices",
+    "flip_gains",
+    "frontier_indices",
     "make_solver",
     "pack_components",
-    "reconcile_boundary",
+    "reconcile_states",
     "register_solver",
-    "select_by_energy_impact",
-    "select_by_graph_partition",
     "solver_catalog",
     "solver_names",
-    "strong_components",
+    "strong_component_indices",
     "supports_time_budget",
     "valid_options",
 ]

@@ -22,12 +22,10 @@ The qbsolv-style decomposition loop needs two primitives:
   incumbent.
 
 The decomposition loop runs on a :class:`~repro.qubo.compiled.CompiledBQM`
-and state vectors: the ``*_indices`` functions and :func:`flip_gains`
-work on its edge arrays and return variable indices.  The public
-functions without that suffix take a dict model or a compiled one and
-an assignment dict, and return variables; :func:`clamp_subproblem` is
-the dict-model clamp that tests and ``repro verify`` hold the array
-clamp against.
+and state vectors: the ``*_indices`` functions, :func:`flip_gains` and
+:func:`descend` work on its edge arrays and take and return variable
+indices.  :func:`clamp_subproblem` is the dict-model clamp that tests
+and ``repro verify`` hold the array clamp against.
 
 All orderings tie-break on ``str(variable)``, keeping the decomposition
 independent of dict insertion order and ``PYTHONHASHSEED``.
@@ -35,17 +33,19 @@ independent of dict insertion order and ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import SolverError
 from repro.qubo.bqm import BinaryQuadraticModel
-from repro.qubo.compiled import CompiledBQM, as_compiled
+from repro.qubo.compiled import CompiledBQM
 
 Variable = Hashable
 Sample = Mapping[Variable, int]
-Model = Union[BinaryQuadraticModel, CompiledBQM]
+
+#: an edge is *strong* when ``|bias| >= STRONG_RATIO * max|bias|``
+STRONG_RATIO = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -111,21 +111,19 @@ def energy_impact_indices(
     return [ranked[i : i + sub_size] for i in range(0, len(ranked), sub_size)]
 
 
-def strong_component_indices(model: CompiledBQM, ratio: float = 0.5) -> List[List[int]]:
+def strong_component_indices(model: CompiledBQM) -> List[List[int]]:
     """Connected components of the strong-coupling subgraph.
 
-    An edge is *strong* when ``|bias| >= ratio * max|bias|``; in
+    An edge is *strong* when ``|bias| >= STRONG_RATIO * max|bias|``; in
     penalty-encoded QUBOs that keeps exactly the constraint couplings
     (e.g. each query's one-plan clique) and drops the cost/savings
     terms.  Models without quadratic terms yield singletons.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise SolverError("ratio must be in (0, 1]")
     ordered = model.str_order
     if not model.num_interactions:
         return [[i] for i in ordered]
     strength = np.abs(model.edge_bias)
-    strong = strength >= ratio * strength.max()
+    strong = strength >= STRONG_RATIO * strength.max()
     adjacency: List[List[int]] = [[] for _ in range(model.num_variables)]
     for u, v in zip(model.edge_u[strong].tolist(), model.edge_v[strong].tolist()):
         adjacency[u].append(v)
@@ -234,65 +232,8 @@ def pack_components(
 
 
 # ----------------------------------------------------------------------
-# Variable-level API over dict or compiled models
+# Dict-model reference
 # ----------------------------------------------------------------------
-def _named(model: CompiledBQM, groups: Sequence[Sequence[int]]) -> List[List[Variable]]:
-    return [[model.variables[i] for i in group] for group in groups]
-
-
-def flip_energy_gains(bqm: Model, sample: Sample) -> Dict[Variable, float]:
-    """:func:`flip_gains` of an assignment dict, keyed by variable."""
-    model = as_compiled(bqm)
-    return dict(zip(model.variables, flip_gains(model, model.state_vector(sample)).tolist()))
-
-
-def greedy_descent(bqm: Model, sample: Sample) -> Dict[Variable, int]:
-    """:func:`descend` from an assignment dict, returning one."""
-    model = as_compiled(bqm)
-    return model.to_sample(descend(model, model.state_vector(sample)))
-
-
-def select_by_energy_impact(bqm: Model, sample: Sample, sub_size: int) -> List[List[Variable]]:
-    """:func:`energy_impact_indices` as blocks of variables."""
-    model = as_compiled(bqm)
-    return _named(model, energy_impact_indices(model, model.state_vector(sample), sub_size))
-
-
-def strong_components(bqm: Model, ratio: float = 0.5) -> List[List[Variable]]:
-    """:func:`strong_component_indices` as lists of variables."""
-    model = as_compiled(bqm)
-    return _named(model, strong_component_indices(model, ratio))
-
-
-def component_weights(
-    bqm: Model, components: Sequence[Sequence[Variable]]
-) -> Dict[Tuple[int, int], float]:
-    """:func:`component_weight_indices` of components given as variables."""
-    model = as_compiled(bqm)
-    index = model.index
-    return component_weight_indices(model, [[index[v] for v in c] for c in components])
-
-
-def select_by_graph_partition(
-    bqm: Model,
-    sub_size: int,
-    order: Optional[Sequence[int]] = None,
-    ratio: float = 0.5,
-) -> List[List[Variable]]:
-    """Strong-coupling partition of the variables into blocks.
-
-    ``order`` permutes the component seeding (the decomposing solver
-    passes a fresh shuffle each round so different components get
-    co-optimized); ``None`` keeps the deterministic sorted order.
-    """
-    model = as_compiled(bqm)
-    components = strong_component_indices(model, ratio=ratio)
-    weights = component_weight_indices(model, components)
-    if order is None:
-        order = range(len(components))
-    return _named(model, pack_components(components, weights, order, sub_size))
-
-
 def clamp_subproblem(
     bqm: BinaryQuadraticModel, free: Sequence[Variable], sample: Sample
 ) -> BinaryQuadraticModel:

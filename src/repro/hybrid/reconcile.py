@@ -8,7 +8,7 @@ on the *frontier* — variables with a quadratic coupling into another
 shard — and the merged assignment can even be worse than the best
 single shard.  Trummer & Koch's multi-annealer MQO pipeline
 (arXiv 1510.06437) re-optimizes these border variables classically
-after the merge; :func:`reconcile_boundary` is that pass.
+after the merge; :func:`reconcile_states` is that pass.
 
 Guarantees (both by construction, and both checked by the
 ``shard-reconciliation`` verify invariant):
@@ -24,25 +24,24 @@ Guarantees (both by construction, and both checked by the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.harness import derive_seed
-from repro.qubo.bqm import BinaryQuadraticModel
-from repro.qubo.compiled import CompiledBQM, as_compiled
+from repro.qubo.compiled import CompiledBQM
 from repro.qubo.exact import brute_force_minimum
 
 from .decomposer import descend
 
-Variable = Hashable
-Sample = Mapping[Variable, int]
 #: ``(clamped_sub, seed) -> (sub_state, energy)``
 BlockSolver = Callable[[CompiledBQM, int], Tuple[np.ndarray, float]]
 
-__all__ = ["frontier_indices", "frontier_variables", "reconcile_boundary", "reconcile_states"]
+__all__ = ["frontier_indices", "reconcile_states"]
 
 _EXACT_CHUNK_LIMIT = 20
+#: frontier variables re-solved together per chunk
+_CHUNK_SIZE = 16
 _SEED_SCOPE = "repro.hybrid.reconcile"
 
 
@@ -65,16 +64,6 @@ def frontier_indices(model: CompiledBQM, blocks: Sequence[Sequence[int]]) -> Lis
     return [i for i in model.str_order if on[i]]
 
 
-def frontier_variables(
-    bqm: Union[BinaryQuadraticModel, CompiledBQM], blocks: Sequence[Sequence[Variable]]
-) -> List[Variable]:
-    """:func:`frontier_indices` of blocks given as variables."""
-    model = as_compiled(bqm)
-    index = model.index
-    frontier = frontier_indices(model, [[index[v] for v in block] for block in blocks])
-    return [model.variables[i] for i in frontier]
-
-
 def _default_block_solver(sub: CompiledBQM, seed: int) -> Tuple[np.ndarray, float]:
     """Exact for small chunks; single-flip descent otherwise."""
     if sub.num_variables <= _EXACT_CHUNK_LIMIT:
@@ -91,11 +80,10 @@ def reconcile_states(
     frontier: Sequence[int],
     solve_block: Optional[BlockSolver] = None,
     seed: int = 0,
-    chunk_size: int = 16,
 ) -> Tuple[np.ndarray, float]:
     """Re-optimize the ``frontier`` variable indices of a merged state.
 
-    Chunks the frontier (in the given order, ``chunk_size`` at a time),
+    Chunks the frontier (in the given order, 16 at a time),
     clamps everything else to the merged state, re-solves each chunk
     with ``solve_block`` and accepts only improvements, then finishes
     with an exact greedy descent over the whole frontier.  Returns
@@ -112,9 +100,8 @@ def reconcile_states(
     if not len(frontier):
         return merged, energy
     solver = _default_block_solver if solve_block is None else solve_block
-    step = max(1, int(chunk_size))
-    for start in range(0, len(frontier), step):
-        chunk = frontier[start : start + step]
+    for start in range(0, len(frontier), _CHUNK_SIZE):
+        chunk = frontier[start : start + _CHUNK_SIZE]
         sub = model.clamp(chunk, merged)
         chunk_seed = derive_seed(seed, _SEED_SCOPE, {"chunk": start})
         chunk_state, chunk_energy = solver(sub, chunk_seed)
@@ -133,22 +120,3 @@ def reconcile_states(
         merged[positions] = descended
         energy = candidate_energy
     return merged, energy
-
-
-def reconcile_boundary(
-    bqm: Union[BinaryQuadraticModel, CompiledBQM],
-    sample: Sample,
-    frontier: Sequence[Variable],
-    seed: int = 0,
-    chunk_size: int = 16,
-) -> Tuple[Dict[Variable, int], float]:
-    """:func:`reconcile_states` over an assignment dict, with the
-    frontier given as variables and chunked in ``str`` order.  Returns
-    ``(sample, energy)`` with ``energy <= bqm.energy(sample)``."""
-    model = as_compiled(bqm)
-    index = model.index
-    ordered = [index[v] for v in sorted(frontier, key=str)]
-    merged, energy = reconcile_states(
-        model, model.state_vector(sample), ordered, seed=seed, chunk_size=chunk_size
-    )
-    return model.to_sample(merged), energy

@@ -15,14 +15,14 @@ options (unknown option names raise
 :class:`~repro.exceptions.ConfigurationError` listing the valid ones);
 :func:`register_solver` lets extensions add entries.
 
+Every built-in ``solve`` takes a
+:class:`~repro.qubo.compiled.CompiledBQM` (the service chains hand each
+stage the cached compiled model) or a dict
+:class:`~repro.qubo.bqm.BinaryQuadraticModel`, compiled on entry.
 Solvers whose ``solve`` accepts a ``time_budget`` keyword (seconds)
 stop cooperatively once the budget is spent and return the best sample
 found so far — the contract the service layer's deadline-aware
 fallback chains rely on (probe with :func:`supports_time_budget`).
-Solvers whose class sets ``accepts_compiled`` also take a
-:class:`~repro.qubo.compiled.CompiledBQM` as their model, so the chains
-hand them the cached compiled model (probe with
-:func:`supports_compiled`).
 
 Registered names
 ----------------
@@ -45,17 +45,11 @@ from __future__ import annotations
 
 import inspect
 import weakref
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Hashable, List, Optional, Protocol, Tuple, Union, runtime_checkable,
+)
 
 import numpy as np
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 from repro.exceptions import ConfigurationError, SolverError
 from repro.annealing.simulated_annealing import SimulatedAnnealingSampler
@@ -90,17 +84,6 @@ class Solver(Protocol):
 def supports_time_budget(solver: "Solver") -> bool:
     """Does ``solver.solve`` accept a ``time_budget`` keyword?"""
     return accepts_keyword(solver.solve, "time_budget")
-
-
-def supports_compiled(solver: "Solver") -> bool:
-    """Does ``solver.solve`` take a :class:`~repro.qubo.compiled.CompiledBQM`
-    as its model (class attribute ``accepts_compiled``)?
-
-    Such solvers run straight off the arrays, so callers holding a
-    compiled model (the service's compilation cache) never build the
-    dict model; the others need ``BinaryQuadraticModel`` input.
-    """
-    return bool(getattr(solver, "accepts_compiled", False))
 
 
 def accepts_keyword(func, keyword: str) -> bool:
@@ -159,7 +142,6 @@ class GreedySolver:
     name = "greedy"
     capabilities = frozenset({"heuristic", "classical"})
     max_variables: Optional[int] = None
-    accepts_compiled = True
 
     def __init__(self, restarts: int = 8, seed: Optional[int] = None) -> None:
         if restarts < 1:
@@ -219,25 +201,20 @@ class GeneticSolver:
 
     def solve(
         self,
-        bqm: BinaryQuadraticModel,
+        bqm: Union[BinaryQuadraticModel, CompiledBQM],
         seed: Optional[int] = None,
         time_budget: Optional[float] = None,
     ) -> SolveResult:
-        if bqm.num_variables == 0:
-            return SolveResult(sample={}, energy=bqm.offset, solver=self.name)
+        model = as_compiled(bqm)
+        if model.num_variables == 0:
+            return SolveResult(sample={}, energy=model.offset, solver=self.name)
         deadline = budget_deadline(time_budget)
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        variables = list(bqm.variables)
-        lo, hi = bqm.vartype.values
-        n = len(variables)
-
-        def energy_of(bits: np.ndarray) -> float:
-            return bqm.energy(
-                {v: int(bits[i]) for i, v in enumerate(variables)}
-            )
+        lo, hi = model.vartype.values
+        n = model.num_variables
 
         population = rng.choice((lo, hi), size=(self.population_size, n))
-        costs = np.array([energy_of(ind) for ind in population])
+        costs = model.energies_compat(population)
         for _ in range(self.generations):
             if budget_spent(deadline):
                 break
@@ -258,15 +235,14 @@ class GeneticSolver:
                     child[mutate] = rng.choice((lo, hi), size=n)[mutate]
                 children.append(child)
             children = np.stack(children)
-            child_costs = np.array([energy_of(ind) for ind in children])
+            child_costs = model.energies_compat(children)
             merged = np.concatenate([population, children])
             merged_costs = np.concatenate([costs, child_costs])
             order = np.argsort(merged_costs, kind="stable")[: self.population_size]
             population, costs = merged[order], merged_costs[order]
         best = population[int(np.argmin(costs))]
-        sample = {v: int(best[i]) for i, v in enumerate(variables)}
         return SolveResult(
-            sample=sample, energy=float(costs.min()), solver=self.name
+            sample=model.to_sample(best), energy=float(costs.min()), solver=self.name
         )
 
 
@@ -276,7 +252,6 @@ class ExactSolver:
     name = "exact"
     capabilities = frozenset({"exact", "classical"})
     max_variables: Optional[int] = 26
-    accepts_compiled = True
 
     def solve(
         self, bqm: Union[BinaryQuadraticModel, CompiledBQM], seed: Optional[int] = None
@@ -292,11 +267,10 @@ class ExactSolver:
 
 
 class SamplerSolver:
-    """Adapter for Ocean-style ``sample(bqm, num_reads, seed)`` samplers
-    that also take a :class:`~repro.qubo.compiled.CompiledBQM` model."""
+    """Adapter for Ocean-style ``sample(model, num_reads, seed)`` samplers
+    that take either model form."""
 
     max_variables: Optional[int] = None
-    accepts_compiled = True
 
     def __init__(
         self,
@@ -375,7 +349,7 @@ class EigenSolver:
         self.reps = reps
 
     def solve(
-        self, bqm: BinaryQuadraticModel, seed: Optional[int] = None
+        self, bqm: Union[BinaryQuadraticModel, CompiledBQM], seed: Optional[int] = None
     ) -> SolveResult:
         from repro.variational.minimum_eigen import (
             MinimumEigenOptimizer,
@@ -383,6 +357,8 @@ class EigenSolver:
         )
 
         check_size(self, bqm)
+        # the Ising Hamiltonian is built from the dict model
+        bqm = as_compiled(bqm).to_bqm()
         if self.kind == "exact-eigen":
             inner = NumPyMinimumEigensolver()
         elif self.kind == "vqe":

@@ -207,8 +207,6 @@ class DecomposingSolver:
     name = "hybrid"
     capabilities = frozenset({"heuristic", "decomposition", "unbounded-size"})
     max_variables: Optional[int] = None
-    #: ``solve`` takes a :class:`~repro.qubo.compiled.CompiledBQM` model
-    accepts_compiled = True
 
     def __init__(
         self,

@@ -87,24 +87,22 @@ class TabuSampler:
         num_reads: int = 10,
         seed: Optional[int] = None,
         initial_states: Optional[Sequence[Mapping[Hashable, int]]] = None,
-        compiled: Optional[CompiledBQM] = None,
     ) -> SampleSet:
         """Run ``num_reads`` independent tabu searches, one after another.
 
         ``initial_states`` warm-starts the first reads (in the vartype
         of ``bqm``); remaining reads start from random assignments.
-        ``bqm`` may itself be a :class:`CompiledBQM`; ``compiled``
-        reuses a pre-compiled form of a dict ``bqm``.  Returns a
-        :class:`SampleSet` holding each read's best sample, in the
-        vartype of the input model, duplicates merged into
-        ``num_occurrences``.
+        ``bqm`` may itself be a :class:`CompiledBQM`; a dict model is
+        compiled on the fly.  Returns a :class:`SampleSet` holding each
+        read's best sample, in the vartype of the input model,
+        duplicates merged into ``num_occurrences``.
         """
         if num_reads < 1:
             raise SolverError("num_reads must be positive")
         if bqm.num_variables == 0:
             return SampleSet.from_samples([{}], [bqm.offset], vartype=bqm.vartype)
 
-        cbqm = compiled if compiled is not None else as_compiled(bqm)
+        cbqm = as_compiled(bqm)
         spin = cbqm.spin
         n = spin.num_variables
 

@@ -26,8 +26,6 @@ and derives on first use
   entry order replicates the order the dict samplers accumulated in,
   so vectorized local-field evaluations are **bit-identical** to the
   seed implementation,
-* a dense symmetric coupling matrix for small or dense models, where
-  one BLAS matmul beats gather loops, and
 * for binary models, the spin companion (the domain the annealing
   kernels sweep in), converted from the arrays.
 
@@ -35,40 +33,25 @@ and derives on first use
 incumbent value and returns the block's compiled subproblem, equal bit
 for bit to ``compile_bqm(clamp_subproblem(...))`` of the dict model.
 
-Two energy evaluators are exposed on purpose:
-
-``energies(states)``
-    The fast path — one vectorized pass over all rows at once.  Exact
-    in exact arithmetic but free to reassociate floating-point sums,
-    so it may differ from ``BinaryQuadraticModel.energy`` in the last
-    ulp.  Use it for bulk scoring (benchmarks, verification sweeps,
-    service-side ranking with tolerances).
-
-``energies_compat(states)``
-    Term-by-term in the exact accumulation order of
-    :meth:`BinaryQuadraticModel.energy`, vectorized across rows only.
-    Bit-identical to the dict implementation — this is what the
-    samplers report, which is why the golden seed-compatibility
-    fixtures survive the kernel rewrite unchanged.
+The one energy evaluator, :meth:`CompiledBQM.energies_compat`, sums
+term by term in the exact accumulation order of
+:meth:`BinaryQuadraticModel.energy`, vectorized across rows only.  It is
+bit-identical to the dict implementation — this is what the samplers
+report, which is why the golden seed-compatibility fixtures survive the
+kernel rewrite unchanged.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ModelError, VariableError
+from repro.exceptions import VariableError
 from repro.qubo.bqm import SUBSTITUTION, BinaryQuadraticModel, Vartype
 
 __all__ = ["CompiledBQM", "as_compiled", "coalesce_interactions", "compile_bqm"]
-
-#: models at or under this variable count always get the dense matrix
-DENSE_SIZE_THRESHOLD = 64
-#: larger models get it too when the interaction density is above this
-DENSE_DENSITY_THRESHOLD = 0.25
-
 
 class CompiledBQM:
     """Array-backed form of one binary quadratic model.
@@ -76,10 +59,7 @@ class CompiledBQM:
     The constructor takes the model's arrays — ``linear`` in variable
     order and the edges in :meth:`BinaryQuadraticModel.interactions`
     order — and is the one lowering path: :func:`compile_bqm` and the
-    QUBO builders both end here.  ``with_spin=False`` forbids the spin
-    companion (evaluation-only uses).  The dense matrix is materialized
-    for models at or under ``dense_size_threshold`` variables, or whose
-    interaction density reaches ``dense_density_threshold``.
+    QUBO builders both end here.
 
     Instances are immutable once built and safe to share across threads
     (the service's compilation cache hands one compiled model to every
@@ -97,9 +77,6 @@ class CompiledBQM:
         edge_u: np.ndarray,
         edge_v: np.ndarray,
         edge_bias: np.ndarray,
-        with_spin: bool = True,
-        dense_size_threshold: int = DENSE_SIZE_THRESHOLD,
-        dense_density_threshold: float = DENSE_DENSITY_THRESHOLD,
     ) -> None:
         self.vartype = vartype
         self.offset = float(offset)
@@ -108,8 +85,6 @@ class CompiledBQM:
         self.edge_u = np.asarray(edge_u, dtype=np.intp)
         self.edge_v = np.asarray(edge_v, dtype=np.intp)
         self.edge_bias = np.asarray(edge_bias, dtype=float)
-        self._with_spin = with_spin
-        self._thresholds = (dense_size_threshold, dense_density_threshold)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -191,21 +166,6 @@ class CompiledBQM:
         )
 
     @cached_property
-    def dense(self) -> Optional[np.ndarray]:
-        """Symmetric coupling matrix, or ``None`` for large sparse models."""
-        n, m = self.num_variables, self.num_interactions
-        size_threshold, density_threshold = self._thresholds
-        max_edges = n * (n - 1) / 2.0
-        density = (m / max_edges) if max_edges else 0.0
-        if not n or (n > size_threshold and density < density_threshold):
-            return None
-        # each unordered pair appears once, so no index repeats
-        dense = np.zeros((n, n), dtype=float)
-        dense[self.edge_u, self.edge_v] += self.edge_bias
-        dense[self.edge_v, self.edge_u] += self.edge_bias
-        return dense
-
-    @cached_property
     def _spin(self) -> "CompiledBQM":
         return self.change_vartype(Vartype.SPIN)
 
@@ -214,11 +174,6 @@ class CompiledBQM:
         """The spin-domain companion (``self`` for spin models)."""
         if self.vartype is Vartype.SPIN:
             return self
-        if not self._with_spin:
-            raise ModelError(
-                "model was compiled with with_spin=False; recompile with "
-                "compile_bqm(bqm) to use the spin kernels"
-            )
         return self._spin
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -251,8 +206,6 @@ class CompiledBQM:
         return CompiledBQM(
             vartype, offset, self.variables, linear,
             self.edge_u, self.edge_v, 0.0 + quad_k * self.edge_bias,
-            dense_size_threshold=self._thresholds[0],
-            dense_density_threshold=self._thresholds[1],
         )
 
     def to_bqm(self) -> BinaryQuadraticModel:
@@ -321,9 +274,6 @@ class CompiledBQM:
             self.vartype, offset, [variables[i] for i in keep.tolist()], linear[keep],
             position[self.edge_u[inner]], position[self.edge_v[inner]],
             self.edge_bias[inner],
-            with_spin=self._with_spin,
-            dense_size_threshold=self._thresholds[0],
-            dense_density_threshold=self._thresholds[1],
         )
 
     # ------------------------------------------------------------------
@@ -340,15 +290,6 @@ class CompiledBQM:
         except KeyError as exc:
             raise VariableError(f"sample is missing variable {exc.args[0]!r}") from None
 
-    def states_matrix(
-        self, samples: Iterable[Mapping[Hashable, int]]
-    ) -> np.ndarray:
-        """Assignment dicts → ``(rows, n)`` float matrix."""
-        rows = [self.state_vector(s) for s in samples]
-        if not rows:
-            return np.empty((0, len(self.variables)), dtype=float)
-        return np.stack(rows)
-
     def to_sample(self, state: np.ndarray) -> Dict[Hashable, int]:
         """One ``(n,)`` state vector → assignment dict with int values."""
         return dict(zip(self.variables, np.asarray(state).astype(np.int64).tolist()))
@@ -360,28 +301,6 @@ class CompiledBQM:
     # ------------------------------------------------------------------
     # Energy evaluation
     # ------------------------------------------------------------------
-    def energies(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized energies of many assignments at once.
-
-        ``states`` is ``(rows, n)`` (a single ``(n,)`` vector is
-        promoted).  Fast path: free to reassociate sums, agrees with
-        :meth:`BinaryQuadraticModel.energy` to float64 rounding.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        out = states @ self.linear
-        out += self.offset
-        if self.edge_bias.size:
-            if self.dense is not None:
-                # E_quad = ½ Σ_ij x_i D_ij x_j with D symmetric
-                out += 0.5 * np.einsum("ri,ri->r", states, states @ self.dense)
-            else:
-                out += (states[:, self.edge_u] * states[:, self.edge_v]) @ self.edge_bias
-        return out
-
-    def energy(self, state: np.ndarray) -> float:
-        """Fast-path energy of one state vector."""
-        return float(self.energies(np.asarray(state, dtype=float))[0])
-
     def energies_compat(self, states: np.ndarray) -> np.ndarray:
         """Energies in the dict implementation's accumulation order.
 
@@ -402,52 +321,6 @@ class CompiledBQM:
             axis=1,
         )
         return np.ascontiguousarray(np.add.accumulate(terms, axis=1)[:, -1])
-
-    # ------------------------------------------------------------------
-    # Local fields and single-flip deltas
-    # ------------------------------------------------------------------
-    def local_fields(self, states: np.ndarray) -> np.ndarray:
-        """``linear_i + Σ_j bias_ij · x_j`` for every variable and row."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        if self.dense is not None:
-            return states @ self.dense + self.linear
-        fields = np.broadcast_to(self.linear, states.shape).copy()
-        for i, neighbors in enumerate(self.neighbor_index):
-            if neighbors.size:
-                fields[:, i] += states[:, neighbors] @ self.neighbor_bias[i]
-        return fields
-
-    def flip_deltas(self, states: np.ndarray) -> np.ndarray:
-        """Energy change of flipping each variable, per row.
-
-        Spin models toggle ``s → -s`` (``ΔE_i = -2 s_i f_i``); binary
-        models toggle ``x → 1-x`` (``ΔE_i = (1-2x_i) f_i``), with
-        ``f`` the :meth:`local_fields`.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        fields = self.local_fields(states)
-        if self.vartype is Vartype.SPIN:
-            return -2.0 * states * fields
-        return (1.0 - 2.0 * states) * fields
-
-    def apply_flip(
-        self, states: np.ndarray, fields: np.ndarray, row: int, i: int
-    ) -> None:
-        """Flip variable ``i`` of ``row`` in place, updating ``fields``.
-
-        The incremental form of :meth:`local_fields`: one flip costs
-        ``O(degree(i))`` instead of a full recomputation.
-        """
-        if self.vartype is Vartype.SPIN:
-            states[row, i] *= -1.0
-            shift = 2.0 * states[row, i]
-        else:
-            old = states[row, i]
-            states[row, i] = 1.0 - old
-            shift = states[row, i] - old
-        neighbors = self.neighbor_index[i]
-        if neighbors.size:
-            fields[row, neighbors] += shift * self.neighbor_bias[i]
 
 
 def _sequential_sum(start: float, *terms: np.ndarray) -> float:
@@ -502,18 +375,8 @@ def coalesce_interactions(
     return np.where(swap, pair_hi, pair_lo), np.where(swap, pair_lo, pair_hi), summed
 
 
-def compile_bqm(
-    bqm: BinaryQuadraticModel,
-    with_spin: bool = True,
-    dense_size_threshold: int = DENSE_SIZE_THRESHOLD,
-    dense_density_threshold: float = DENSE_DENSITY_THRESHOLD,
-) -> CompiledBQM:
-    """Lower a dict-backed model into its array-backed compiled form.
-
-    ``with_spin=False`` forbids the spin companion the annealing/tabu
-    kernels sweep (it is otherwise converted on first use).  See
-    :class:`CompiledBQM` for the dense-matrix thresholds.
-    """
+def compile_bqm(bqm: BinaryQuadraticModel) -> CompiledBQM:
+    """Lower a dict-backed model into its array-backed compiled form."""
     variables = bqm.variables
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
@@ -529,9 +392,6 @@ def compile_bqm(
         np.fromiter((index[t[0]] for t in terms), dtype=np.intp, count=m),
         np.fromiter((index[t[1]] for t in terms), dtype=np.intp, count=m),
         np.fromiter((t[2] for t in terms), dtype=float, count=m),
-        with_spin=with_spin,
-        dense_size_threshold=dense_size_threshold,
-        dense_density_threshold=dense_density_threshold,
     )
 
 

@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.harness import derive_seed
-from repro.hybrid.registry import make_solver, supports_compiled, supports_time_budget
+from repro.hybrid.registry import make_solver, supports_time_budget
 
 __all__ = [
     "ChainOutcome",
@@ -243,10 +243,7 @@ def _run_stage(adapter, spec: StageSpec, seed: int, budget_s: float) -> Dict[str
     kwargs: Dict[str, Any] = {}
     if supports_time_budget(solver):
         kwargs["time_budget"] = budget_s
-    # array-capable stages solve the cached compiled model; only the
-    # others make the adapter build its dict model
-    model = adapter.compiled() if supports_compiled(solver) else adapter.bqm()
-    result = solver.solve(model, seed=seed, **kwargs)
+    result = solver.solve(adapter.compiled(), seed=seed, **kwargs)
     plan, cost, valid = adapter.decode(result.sample)
     seconds = time.perf_counter() - start
     return {

@@ -78,9 +78,9 @@ class _QuboAdapter:
     """The two forms of an adapter's QUBO, each built once on demand.
 
     :meth:`compiled` comes straight from the builder's arrays
-    (``build_compiled``) and is what the service solves; :meth:`bqm`,
-    the dict model, is built only for callers that need it (the paper
-    experiments, verification oracles, solvers without array support).
+    (``build_compiled``) and is what every chain stage solves;
+    :meth:`bqm`, the dict model, is built only for callers that need it
+    (the paper experiments and verification oracles).
     A shared cached adapter may build either form from two threads at
     once; both builds are identical, so the race is benign.
     """
@@ -204,9 +204,8 @@ def register_problem_kind(
     After registration, :class:`~repro.service.request.OptimizationRequest`
     accepts ``kind`` with a ``payload_cls`` problem and the service
     compiles it through ``adapter`` (which must provide the
-    ``bqm``/``compiled``/``decode``/``fallback``/``validate`` protocol
-    plus a ``fingerprint`` attribute; array-capable chain stages get
-    ``compiled()``, the others ``bqm()``).
+    ``compiled``/``decode``/``fallback``/``validate`` protocol plus a
+    ``fingerprint`` attribute; every chain stage solves ``compiled()``).
     """
     if kind in _KINDS and not replace:
         raise ProblemError(f"problem kind {kind!r} already registered")

@@ -22,13 +22,14 @@ Catalog
                                 and ``CompiledBQM.clamp`` equals the
                                 dict clamp bit for bit
 ``matrix-energy``               dense ``x^T Q x + c`` matches
-                                :meth:`BinaryQuadraticModel.energy`
-``compiled-energy-consistency``  the array-compiled kernels
+                                :meth:`BinaryQuadraticModel.energy`, and
+                                the compiled model's matrix equals the
+                                dict one bit for bit
+``compiled-energy-consistency``  the array-compiled model
                                 (:func:`repro.qubo.compiled.compile_bqm`)
-                                agree with the dict model: vectorized
-                                and bit-compatible energies row-by-row,
-                                and incremental flip deltas against a
-                                full recompute
+                                agrees with the dict model: bit-exact
+                                energies row by row, and flip gains
+                                against dict energy differences
 ``decode-cost-consistency``     decoded-plan cost ↔ raw-bitstring BQM
                                 energy (MQO Eq. 29; direct join QUBO
                                 surrogate objective)
@@ -341,8 +342,23 @@ def check_matrix_energy(
     bqm: BinaryQuadraticModel,
     samples: Sequence[Mapping[Hashable, int]],
     subject: str = "bqm",
+    drop_matrix_diagonal: bool = False,
 ) -> List[Violation]:
-    """Dense ``x^T Q x + offset`` agrees with :meth:`energy`."""
+    """Dense ``x^T Q x + offset`` agrees with :meth:`energy`, and the
+    compiled model's matrix is the dict model's bit for bit.
+
+    1. For every sample the dict model's upper-triangular matrix gives
+       the dict energy within tolerance.
+    2. :meth:`CompiledBQM.to_numpy_matrix` (the matrix the served
+       :func:`~repro.qubo.exact.brute_force_minimum` enumerates) equals
+       :meth:`BinaryQuadraticModel.to_numpy_matrix` in its bytes, its
+       offset's ``repr`` and its variable order.
+
+    ``drop_matrix_diagonal`` plants a compiled-matrix bug for harness
+    self-tests: the first non-zero diagonal entry is zeroed.
+    """
+    from repro.qubo.compiled import compile_bqm
+
     violations: List[Violation] = []
     q, offset, order = bqm.to_numpy_matrix()
     binary = bqm.change_vartype(Vartype.BINARY)
@@ -364,6 +380,33 @@ def check_matrix_energy(
                     details={"sample_index": index, "dense": dense, "direct": direct},
                 )
             )
+
+    compiled_q, compiled_offset, compiled_order = compile_bqm(bqm).to_numpy_matrix()
+    if drop_matrix_diagonal:
+        diagonal = np.flatnonzero(np.diag(compiled_q))
+        if diagonal.size:
+            compiled_q[diagonal[0], diagonal[0]] = 0.0
+    mismatched = [
+        name
+        for name, differs in (
+            ("matrix", compiled_q.tobytes() != q.tobytes()),
+            ("offset", repr(compiled_offset) != repr(offset)),
+            ("order", compiled_order != order),
+        )
+        if differs
+    ]
+    if mismatched:
+        violations.append(
+            Violation(
+                invariant="matrix-energy",
+                subject=subject,
+                message=(
+                    "compiled QUBO matrix differs from the dict one in "
+                    f"{', '.join(mismatched)}"
+                ),
+                details={"fields": mismatched},
+            )
+        )
     return violations
 
 
@@ -372,25 +415,25 @@ def check_compiled_energy_consistency(
     samples: Sequence[Mapping[Hashable, int]],
     subject: str = "bqm",
     drop_interaction: bool = False,
-    num_flips: int = 32,
-    seed: int = 0,
 ) -> List[Violation]:
-    """The compiled kernels agree with the dict model they were built from.
+    """The compiled model agrees with the dict model it was built from.
 
-    Three sub-checks over :func:`repro.qubo.compiled.compile_bqm`:
+    Two sub-checks over :func:`repro.qubo.compiled.compile_bqm`:
 
-    1. vectorized ``energies(S)`` matches :meth:`BinaryQuadraticModel.energy`
-       row-by-row within tolerance;
-    2. ``energies_compat(S)`` matches it **bit-exactly** (that is the
-       contract the seed-compatibility fixtures rely on);
-    3. incremental flip deltas (``local_fields`` + ``apply_flip``) track
-       a full recompute through a random flip sequence.
+    1. ``energies_compat(S)`` matches :meth:`BinaryQuadraticModel.energy`
+       **bit-exactly** row by row (the contract the seed-compatibility
+       fixtures rely on);
+    2. :func:`~repro.hybrid.decomposer.flip_gains`, which seeds the
+       decomposition loop's energy-impact blocks and its greedy descent,
+       matches the dict energy change of flipping each variable of each
+       sample within tolerance.
 
     ``drop_interaction`` plants the classic miscompilation bug for
     harness self-tests — the last quadratic term (or, for purely linear
     models, part of the first linear bias) is silently dropped from the
     compiled form while the dict model keeps it.
     """
+    from repro.hybrid.decomposer import flip_gains
     from repro.qubo.compiled import compile_bqm
 
     violations: List[Violation] = []
@@ -409,84 +452,51 @@ def check_compiled_energy_consistency(
             linear, quadratic, offset=bqm.offset, vartype=bqm.vartype
         )
     compiled = compile_bqm(source)
+    lo, hi = bqm.vartype.values
 
-    states = compiled.states_matrix(samples)
-    fast = compiled.energies(states)
-    compat = compiled.energies_compat(states)
     for index, sample in enumerate(samples):
+        state = compiled.state_vector(sample)
         direct = bqm.energy(sample)
-        if not _close(float(fast[index]), direct):
+        compat = float(compiled.energies_compat(state)[0])
+        if compat != direct:
             violations.append(
                 Violation(
                     invariant="compiled-energy-consistency",
                     subject=subject,
                     message=(
-                        f"vectorized energy {float(fast[index]):.9g} != "
-                        f"dict energy {direct:.9g} on sample {index}"
+                        f"compat energy {compat:.17g} is not bit-identical to "
+                        f"dict energy {direct:.17g} on sample {index}"
                     ),
                     details={
                         "sample_index": index,
-                        "compiled": float(fast[index]),
-                        "direct": direct,
-                        "evaluator": "energies",
-                    },
-                )
-            )
-        if float(compat[index]) != direct:
-            violations.append(
-                Violation(
-                    invariant="compiled-energy-consistency",
-                    subject=subject,
-                    message=(
-                        f"compat energy {float(compat[index]):.17g} is not "
-                        f"bit-identical to dict energy {direct:.17g} on "
-                        f"sample {index}"
-                    ),
-                    details={
-                        "sample_index": index,
-                        "compiled": float(compat[index]),
+                        "compiled": compat,
                         "direct": direct,
                         "evaluator": "energies_compat",
                     },
                 )
             )
-
-    # incremental deltas vs full recompute over a random flip walk
-    if states.shape[0] and compiled.num_variables:
-        rng = np.random.default_rng(seed)
-        fields = compiled.local_fields(states)
-        running = compiled.energies(states).copy()
-        n = compiled.num_variables
-        for step in range(num_flips):
-            row = int(rng.integers(states.shape[0]))
-            i = int(rng.integers(n))
-            value = states[row, i]
-            if compiled.vartype is Vartype.SPIN:
-                delta = -2.0 * value * fields[row, i]
-            else:
-                delta = (1.0 - 2.0 * value) * fields[row, i]
-            compiled.apply_flip(states, fields, row, i)
-            running[row] += delta
-            full = float(compiled.energies(states[row])[0])
-            if not _close(float(running[row]), full):
+        gains = flip_gains(compiled, state).tolist()
+        for v, gain in zip(compiled.variables, gains):
+            difference = bqm.energy({**sample, v: lo + hi - sample[v]}) - direct
+            if not _close(gain, difference):
                 violations.append(
                     Violation(
                         invariant="compiled-energy-consistency",
                         subject=subject,
                         message=(
-                            f"delta-energy drift after flip {step}: running "
-                            f"{float(running[row]):.9g} != recomputed {full:.9g}"
+                            f"flip gain {gain:.9g} of {v!r} != dict energy "
+                            f"difference {difference:.9g} on sample {index}"
                         ),
                         details={
-                            "flip_index": step,
-                            "row": row,
-                            "variable_index": i,
-                            "running": float(running[row]),
-                            "recomputed": full,
+                            "sample_index": index,
+                            "variable": str(v),
+                            "gain": gain,
+                            "difference": difference,
+                            "evaluator": "flip_gains",
                         },
                     )
                 )
-                break
+                break  # one witness flip per sample is enough
     return violations
 
 
@@ -751,42 +761,49 @@ def check_shard_reconciliation(
     boundary pass.  The accepted assignment must
 
     1. never be worse than the naive concatenation it started from,
-    2. never be worse than a reference :func:`reconcile_boundary` run
-       on the same merge, and
+    2. never be worse than a reference
+       :func:`~repro.hybrid.reconcile.reconcile_states` run on the same
+       merge, and
     3. admit no improving single flip on any *frontier* variable
        (one coupled across shards) — the post-condition of the pass's
        final clamped descent.
 
-    ``reconcile=False`` exists for harness self-tests: skipping the
+    The merge and the boundary pass run on state vectors of the
+    compiled model, as the fleet solver's do; the dict model scores the
+    naive merge and the frontier flips.  ``reconcile=False`` exists for harness self-tests: skipping the
     boundary pass is exactly the planted bug behind
     ``--inject shard``.
     """
     from repro.annealers import AnnealerFleet
-    from repro.hybrid import frontier_variables, reconcile_boundary
-    from repro.hybrid.decomposer import clamp_subproblem
+    from repro.hybrid import clamp_subproblem, frontier_indices, reconcile_states
+    from repro.qubo.compiled import compile_bqm
 
     violations: List[Violation] = []
-    variables = sorted(bqm.variables, key=str)
-    if len(variables) < 4:
+    model = compile_bqm(bqm)
+    ordered = model.str_order
+    if len(ordered) < 4:
         return violations
-    size = max(2, min(int(block_size), (len(variables) + 1) // 2))
-    blocks = [variables[i : i + size] for i in range(0, len(variables), size)]
-    frontier = frontier_variables(bqm, blocks)
+    size = max(2, min(int(block_size), (len(ordered) + 1) // 2))
+    blocks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
+    frontier = frontier_indices(model, blocks)
     fleet = AnnealerFleet.homogeneous(fleet_size)
     lo, hi = bqm.vartype.values
     rng = np.random.default_rng(seed)
 
     for index in range(int(incumbents)):
-        values = rng.choice((lo, hi), size=len(variables))
-        incumbent = {v: int(values[i]) for i, v in enumerate(variables)}
-        shards = [clamp_subproblem(bqm, block, incumbent) for block in blocks]
-        naive: Dict[Hashable, int] = dict(incumbent)
+        incumbent = np.empty(model.num_variables)
+        incumbent[ordered] = rng.choice((lo, hi), size=len(ordered))
+        sample = model.to_sample(incumbent)
+        shards = [
+            clamp_subproblem(bqm, [model.variables[i] for i in block], sample)
+            for block in blocks
+        ]
+        naive = incumbent.copy()
         for shard_sample, _ in fleet.dispatch(shards, seed):
-            naive.update(shard_sample)
-        naive_energy = bqm.energy(naive)
-        reference, reference_energy = reconcile_boundary(
-            bqm, naive, frontier, seed=seed
-        )
+            for v, value in shard_sample.items():
+                naive[model.index[v]] = value
+        naive_energy = bqm.energy(model.to_sample(naive))
+        reference, reference_energy = reconcile_states(model, naive, frontier, seed=seed)
         if reconcile:
             final, final_energy = reference, reference_energy
         else:
@@ -827,10 +844,10 @@ def check_shard_reconciliation(
                     },
                 )
             )
-        for v in frontier:
-            flipped = dict(final)
-            flipped[v] = lo + hi - int(flipped[v])
-            flipped_energy = bqm.energy(flipped)
+        final_sample = model.to_sample(final)
+        for i in frontier:
+            v = model.variables[i]
+            flipped_energy = bqm.energy({**final_sample, v: lo + hi - final_sample[v]})
             if flipped_energy < final_energy - ENERGY_ATOL:
                 violations.append(
                     Violation(

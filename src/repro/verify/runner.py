@@ -113,6 +113,7 @@ class Plant:
     decode_cost_shift: float = 0.0  # added to the decoded plan cost
     drop_compiled_term: bool = False  # compiled kernels drop one interaction
     drop_clamp_fold: bool = False  # the array clamp drops one boundary fold
+    drop_matrix_diagonal: bool = False  # the compiled QUBO matrix loses one entry
     sql_drift: float = 1.0  # on the extracted SQL graph's join selectivities
     router_scale: float = 1.0  # on the router's runtime predictions
     reconcile: bool = True  # boundary pass after the naive shard merge
@@ -321,10 +322,8 @@ def _chain_check(params: Dict[str, Any], seed: int, plant: Plant) -> Dict[str, A
 
     built = build_case(_case_from_params(params))
     oracle = _oracle_record(params)
-    # chain stages solve adapter.compiled() or adapter.bqm(), both cached
-    # on the adapter: planting in both reaches every stage
-    planted = _planted_bqm(built.adapter.bqm(), plant)
-    built.adapter._bqm, built.adapter._compiled = planted, compile_bqm(planted)
+    # every chain stage solves the adapter's cached compiled model
+    built.adapter._compiled = compile_bqm(_planted_bqm(built.adapter.bqm(), plant))
 
     outcome = run_chain(
         built.adapter,
@@ -383,13 +382,11 @@ def _invariants_check(
         bqm, samples, subject=subject, j_scale=plant.ising_j_scale
     )
     violations += check_qubo_round_trip(bqm, samples, subject=subject)
-    violations += check_matrix_energy(bqm, samples, subject=subject)
+    violations += check_matrix_energy(
+        bqm, samples, subject=subject, drop_matrix_diagonal=plant.drop_matrix_diagonal
+    )
     violations += check_compiled_energy_consistency(
-        bqm,
-        samples,
-        subject=subject,
-        drop_interaction=plant.drop_compiled_term,
-        seed=seed,
+        bqm, samples, subject=subject, drop_interaction=plant.drop_compiled_term
     )
     violations += check_fix_variable_conservation(
         bqm, samples[:6], subject=subject, seed=seed, drop_clamp_fold=plant.drop_clamp_fold
@@ -608,6 +605,8 @@ PLANTED_BUGS: Dict[str, PlantedBug] = {
                    Plant(drop_compiled_term=True)),
         PlantedBug("clamp", ("invariants",), "fix-variable-conservation",
                    Plant(drop_clamp_fold=True)),
+        PlantedBug("matrix", ("invariants",), "matrix-energy",
+                   Plant(drop_matrix_diagonal=True)),
         PlantedBug("sql", ("sql",), "sql-plan-consistency", Plant(sql_drift=0.99)),
         # a router that believes every stage is ~20x faster than it is
         PlantedBug("router", ("routing",), "routing-regret", Plant(router_scale=0.05)),

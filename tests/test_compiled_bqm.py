@@ -4,13 +4,11 @@ The compiled form (:mod:`repro.qubo.compiled`) is the kernel substrate
 of every batched solver, so its contract with the dict model is pinned
 hard here:
 
-* ``energies``/``energy`` match :meth:`BinaryQuadraticModel.energy`
-  row-by-row within float tolerance (hypothesis-driven, including
-  models reduced by ``fix_variable``);
-* ``energies_compat`` matches **bit-exactly**;
-* incremental delta-energy bookkeeping (``local_fields`` +
-  ``apply_flip``) tracks a full recompute through random flip walks;
-* the dense and CSR adjacency paths agree;
+* ``energies_compat`` matches :meth:`BinaryQuadraticModel.energy`
+  **bit-exactly** row by row (hypothesis-driven, including models
+  reduced by ``fix_variable``);
+* flip gains (:func:`repro.hybrid.decomposer.flip_gains`) summed along
+  random flip walks track a full recompute;
 * the spin companion of a binary model is energy-equivalent.
 """
 
@@ -20,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ModelError, VariableError
+from repro.exceptions import VariableError
+from repro.hybrid.decomposer import flip_gains
 from repro.qubo import BinaryQuadraticModel, CompiledBQM, Vartype, compile_bqm
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -61,13 +60,10 @@ def test_energies_match_dict_model_row_by_row(data):
     bqm = data.draw(bqms())
     compiled = compile_bqm(bqm)
     samples = [data.draw(assignments_for(bqm)) for _ in range(3)]
-    states = compiled.states_matrix(samples)
-    fast = compiled.energies(states)
+    states = np.stack([compiled.state_vector(s) for s in samples])
     compat = compiled.energies_compat(states)
     for row, sample in enumerate(samples):
-        direct = bqm.energy(sample)
-        assert math.isclose(fast[row], direct, rel_tol=1e-9, abs_tol=1e-7)
-        assert compat[row] == direct  # bit-identical by construction
+        assert compat[row] == bqm.energy(sample)  # bit-identical by construction
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,7 +74,6 @@ def test_spin_models_compile_and_evaluate(data):
     assert compiled.spin is compiled
     sample = data.draw(assignments_for(bqm))
     state = compiled.state_vector(sample)
-    assert math.isclose(compiled.energy(state), bqm.energy(sample), rel_tol=1e-9, abs_tol=1e-7)
     assert compiled.energies_compat(state)[0] == bqm.energy(sample)
 
 
@@ -96,16 +91,14 @@ def test_energies_match_after_fix_variable(data):
     compiled = compile_bqm(reduced)
     sample = data.draw(assignments_for(reduced))
     state = compiled.state_vector(sample)
-    direct = reduced.energy(sample)
-    assert math.isclose(compiled.energy(state), direct, rel_tol=1e-9, abs_tol=1e-7)
-    assert compiled.energies_compat(state)[0] == direct
+    assert compiled.energies_compat(state)[0] == reduced.energy(sample)
     # and the reduced energies still agree with the full model
     full = bqm.energy({**sample, v: value})
-    assert math.isclose(compiled.energy(state), full, rel_tol=1e-9, abs_tol=1e-6)
+    assert math.isclose(compiled.energies_compat(state)[0], full, rel_tol=1e-9, abs_tol=1e-6)
 
 
 # ----------------------------------------------------------------------
-# delta-energy bookkeeping
+# flip-gain bookkeeping
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("vartype", [Vartype.BINARY, Vartype.SPIN])
 @pytest.mark.parametrize("n,density", [(6, 0.8), (20, 0.3), (40, 0.1)])
@@ -118,51 +111,21 @@ def test_incremental_flips_track_full_recompute(vartype, n, density):
         for j in range(i + 1, n):
             if rng.random() < density:
                 bqm.add_quadratic(f"x{i}", f"x{j}", float(rng.uniform(-2, 2)))
-    compiled = compile_bqm(bqm, with_spin=False)
+    compiled = compile_bqm(bqm)
+    lo, hi = vartype.values
 
-    states = random_states(bqm, 4, seed=7)
-    fields = compiled.local_fields(states)
-    running = compiled.energies(states).copy()
+    state = random_states(bqm, 1, seed=7)[0]
+    running = compiled.energies_compat(state)[0]
     for step in range(200):
-        row = int(rng.integers(states.shape[0]))
         i = int(rng.integers(n))
-        deltas = compiled.flip_deltas(states[row])[0]
-        compiled.apply_flip(states, fields, row, i)
-        running[row] += deltas[i]
+        running += flip_gains(compiled, state)[i]
+        state[i] = lo + hi - state[i]
         assert math.isclose(
-            running[row],
-            compiled.energies(states[row])[0],
+            running,
+            compiled.energies_compat(state)[0],
             rel_tol=1e-9,
             abs_tol=1e-6,
         ), f"drift at flip {step}"
-    # fields stayed consistent with a fresh computation too
-    np.testing.assert_allclose(fields, compiled.local_fields(states), atol=1e-9)
-
-
-# ----------------------------------------------------------------------
-# dense vs CSR adjacency paths
-# ----------------------------------------------------------------------
-def test_dense_and_sparse_paths_agree():
-    rng = np.random.default_rng(3)
-    n = 30
-    bqm = BinaryQuadraticModel(
-        {f"x{i}": float(rng.uniform(-1, 1)) for i in range(n)}
-    )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.2:
-                bqm.add_quadratic(f"x{i}", f"x{j}", float(rng.uniform(-1, 1)))
-    with_dense = compile_bqm(bqm, dense_size_threshold=64)
-    sparse_only = compile_bqm(bqm, dense_size_threshold=0, dense_density_threshold=2.0)
-    assert with_dense.dense is not None
-    assert sparse_only.dense is None
-    states = random_states(bqm, 16, seed=5)
-    np.testing.assert_allclose(
-        with_dense.energies(states), sparse_only.energies(states), atol=1e-9
-    )
-    np.testing.assert_allclose(
-        with_dense.local_fields(states), sparse_only.local_fields(states), atol=1e-9
-    )
 
 
 # ----------------------------------------------------------------------
@@ -194,17 +157,10 @@ def test_spin_companion_is_energy_equivalent():
     for xa in (0, 1):
         for xb in (0, 1):
             binary_energy = bqm.energy({"a": xa, "b": xb})
-            spin_energy = spin.energy(
+            spin_energy = spin.energies_compat(
                 np.array([2.0 * xa - 1.0, 2.0 * xb - 1.0])
-            )
+            )[0]
             assert math.isclose(binary_energy, spin_energy, abs_tol=1e-9)
-
-
-def test_spin_property_raises_without_companion():
-    bqm = BinaryQuadraticModel({"a": 1.0})
-    compiled = compile_bqm(bqm, with_spin=False)
-    with pytest.raises(ModelError):
-        compiled.spin
 
 
 def test_state_vector_missing_variable_raises():
@@ -217,6 +173,6 @@ def test_states_to_samples_round_trip():
     bqm = BinaryQuadraticModel({"a": 1.0, "b": -1.0}, {("a", "b"): 0.5})
     compiled = compile_bqm(bqm)
     samples = [{"a": 0, "b": 1}, {"a": 1, "b": 1}]
-    states = compiled.states_matrix(samples)
+    states = np.stack([compiled.state_vector(s) for s in samples])
     assert compiled.states_to_samples(states) == samples
     assert isinstance(compiled, CompiledBQM)

@@ -2,9 +2,8 @@
 
 * ``build_compiled()`` of the MQO and join-order builders (the latter
   also over graphs extracted from generated SQL) equals
-  ``compile_bqm(builder.build())``: variables, every array, the offset,
-  the dense matrix and the spin companion, compared by ``repr`` so -0.0
-  counts;
+  ``compile_bqm(builder.build())``: variables, every array, the offset
+  and the spin companion, compared by ``repr`` so -0.0 counts;
 * ``CompiledBQM.clamp`` equals ``compile_bqm(clamp_subproblem(...))``
   over random models, blocks and states, and brute force finds the
   same optimum and optima list on both forms;
@@ -35,7 +34,6 @@ def fields(compiled, with_companion=True):
         "variables": repr(compiled.variables),
         "vartype": repr(compiled.vartype),
         "offset": repr(compiled.offset),
-        "dense": repr(None if compiled.dense is None else compiled.dense.tolist()),
     }
     for name in ("linear", "edge_u", "edge_v", "edge_bias"):
         out[name] = repr(getattr(compiled, name).tolist())

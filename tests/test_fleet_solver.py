@@ -20,11 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.annealers import AnnealerFleet
 from repro.exceptions import SolverError
-from repro.hybrid import DecomposingSolver, frontier_variables, reconcile_boundary
-from repro.hybrid.decomposer import clamp_subproblem
+from repro.hybrid import DecomposingSolver, frontier_indices, reconcile_states
 from repro.hybrid.registry import make_solver
 from repro.mqo import mqo_to_bqm, random_mqo_problem
-from repro.qubo import BinaryQuadraticModel
+from repro.qubo import BinaryQuadraticModel, compile_bqm
 from repro.qubo.exact import brute_force_minimum
 
 
@@ -46,7 +45,7 @@ def random_bqm(n: int, seed: int, density: float = 0.5) -> BinaryQuadraticModel:
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(6, 13))
 def test_reconciled_merge_never_worse_than_naive_concatenation(seed, n):
-    """Property: reconcile_boundary(naive merge) <= naive merge energy.
+    """Property: reconcile_states(naive merge) <= naive merge energy.
 
     Models one fleet round exactly: split the variables into two
     shards, solve each clamped shard *independently* against the same
@@ -54,28 +53,31 @@ def test_reconciled_merge_never_worse_than_naive_concatenation(seed, n):
     patch both answers in at once, then reconcile the frontier.
     """
     bqm = random_bqm(n, seed)
+    model = compile_bqm(bqm)
     rng = np.random.default_rng(seed + 1)
-    variables = sorted(bqm.variables, key=str)
-    incumbent = {v: int(rng.integers(2)) for v in variables}
-    half = len(variables) // 2
-    blocks = [variables[:half], variables[half:]]
+    ordered = model.str_order
+    incumbent = np.empty(n)
+    for i in ordered:
+        incumbent[i] = rng.integers(2)
+    half = n // 2
+    blocks = [ordered[:half], ordered[half:]]
 
-    naive = dict(incumbent)
+    naive = incumbent.copy()
     for block in blocks:
-        sub = clamp_subproblem(bqm, block, incumbent)
-        naive.update(dict(brute_force_minimum(sub).sample))
-    naive_energy = bqm.energy(naive)
+        sub = model.clamp(block, incumbent)
+        naive[np.sort(block)] = sub.state_vector(brute_force_minimum(sub).sample)
+    naive_energy = bqm.energy(model.to_sample(naive))
 
-    frontier = frontier_variables(bqm, blocks)
-    merged, energy = reconcile_boundary(bqm, naive, frontier, seed=seed)
+    frontier = frontier_indices(model, blocks)
+    merged, energy = reconcile_states(model, naive, frontier, seed=seed)
+    merged_sample = model.to_sample(merged)
     assert energy <= naive_energy + 1e-9
-    assert energy == pytest.approx(bqm.energy(merged), abs=1e-9)
+    assert energy == pytest.approx(bqm.energy(merged_sample), abs=1e-9)
     # post-condition of the final clamped descent: no improving
     # single flip is left on the frontier
-    for v in frontier:
-        flipped = dict(merged)
-        flipped[v] = 1 - flipped[v]
-        assert bqm.energy(flipped) >= energy - 1e-9
+    for i in frontier:
+        v = model.variables[i]
+        assert bqm.energy({**merged_sample, v: 1 - merged_sample[v]}) >= energy - 1e-9
 
 
 def test_frontier_variables_are_exactly_cross_block_couplings():
@@ -85,8 +87,9 @@ def test_frontier_variables_are_exactly_cross_block_couplings():
     bqm.add_quadratic("a", "b", 1.0)  # inside block 0
     bqm.add_quadratic("b", "c", 1.0)  # crosses
     bqm.add_quadratic("c", "d", 1.0)  # inside block 1
-    assert frontier_variables(bqm, [["a", "b"], ["c", "d"]]) == ["b", "c"]
-    assert frontier_variables(bqm, [["a", "b", "c", "d"]]) == []
+    model = compile_bqm(bqm)  # a, b, c, d at indices 0..3
+    assert frontier_indices(model, [[0, 1], [2, 3]]) == [1, 2]
+    assert frontier_indices(model, [[0, 1, 2, 3]]) == []
 
 
 # ----------------------------------------------------------------------

@@ -55,11 +55,11 @@ def test_sampler_matches_seed_fixture(
 def test_precompiled_model_changes_nothing(
     fixture, case_id, factory, kind, sampler_kwargs, sample_kwargs
 ):
-    """Passing ``compiled=`` explicitly is the same bit-exact path."""
+    """Passing ``compile_bqm(bqm)`` as the model is the same bit-exact path."""
     bqm = factory()
     sampler = golden_cases.make_sampler(kind, sampler_kwargs)
     got = golden_cases.sampleset_to_jsonable(
-        sampler.sample(bqm, compiled=compile_bqm(bqm), **sample_kwargs)
+        sampler.sample(compile_bqm(bqm), **sample_kwargs)
     )
     assert got == fixture["samplers"][case_id]
 

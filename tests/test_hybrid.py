@@ -15,19 +15,18 @@ from repro.hybrid import (
     Solver,
     TabuSampler,
     clamp_subproblem,
-    flip_energy_gains,
-    greedy_descent,
+    component_weight_indices,
+    descend,
+    energy_impact_indices,
+    flip_gains,
     make_solver,
     pack_components,
     register_solver,
-    select_by_energy_impact,
-    select_by_graph_partition,
     solver_catalog,
     solver_names,
-    strong_components,
+    strong_component_indices,
 )
 import repro.hybrid.solver as hybrid_solver
-from repro.hybrid.decomposer import component_weights
 from repro.hybrid.registry import _FACTORIES
 from repro.mqo.generator import random_mqo_problem
 from repro.mqo.qubo import MqoQuboBuilder
@@ -241,61 +240,67 @@ class TestTabuKernelBitIdentity:
 class TestDecomposer:
     def test_flip_energy_gains_match_energy_differences(self):
         bqm = _small_bqm()
+        model = compile_bqm(bqm)
         sample = {v: (i % 2) for i, v in enumerate(sorted(bqm.variables))}
-        gains = flip_energy_gains(bqm, sample)
+        gains = flip_gains(model, model.state_vector(sample))
         base = bqm.energy(sample)
-        for v in bqm.variables:
+        for i, v in enumerate(model.variables):
             flipped = dict(sample)
             flipped[v] = 1 - flipped[v]
-            assert gains[v] == pytest.approx(bqm.energy(flipped) - base)
+            assert gains[i] == pytest.approx(bqm.energy(flipped) - base)
 
     def test_energy_impact_blocks_cover_all_variables(self):
-        bqm = _small_bqm()
-        sample = {v: 0 for v in bqm.variables}
-        blocks = select_by_energy_impact(bqm, sample, sub_size=4)
+        model = compile_bqm(_small_bqm())
+        blocks = energy_impact_indices(model, np.zeros(model.num_variables), sub_size=4)
         assert [len(b) for b in blocks] == [4, 2]
-        flat = [v for block in blocks for v in block]
-        assert sorted(flat, key=str) == sorted(bqm.variables, key=str)
+        assert sorted(i for block in blocks for i in block) == list(range(6))
 
     def test_strong_components_recover_mqo_cliques(self):
         """Penalty couplings of the MQO encoding dominate, so the
         strong-coupling components are exactly the per-query cliques."""
         problem, _, bqm = _mqo_bqm(queries=6, ppq=3)
-        components = strong_components(bqm)
+        model = compile_bqm(bqm)
+        components = strong_component_indices(model)
         assert len(components) == problem.num_queries
         by_query = problem.plans_by_query()
         expected = {
             frozenset(f"x{p.plan_id}" for p in plans)
             for plans in by_query.values()
         }
-        assert {frozenset(c) for c in components} == expected
+        assert {frozenset(model.variables[i] for i in c) for c in components} == expected
 
     def test_pack_components_respects_sub_size(self):
         _, _, bqm = _mqo_bqm(queries=10, ppq=3)
-        components = strong_components(bqm)
-        weights = component_weights(bqm, components)
+        model = compile_bqm(bqm)
+        components = strong_component_indices(model)
+        weights = component_weight_indices(model, components)
         blocks = pack_components(
             components, weights, range(len(components)), sub_size=7
         )
         assert all(len(b) <= 7 for b in blocks)
-        flat = sorted(v for b in blocks for v in b)
-        assert flat == sorted(bqm.variables)
+        assert sorted(i for b in blocks for i in b) == list(range(model.num_variables))
 
     def test_pack_components_chops_oversized_components(self):
         _, _, bqm = _mqo_bqm(queries=2, ppq=4)
-        components = strong_components(bqm)
-        weights = component_weights(bqm, components)
+        model = compile_bqm(bqm)
+        components = strong_component_indices(model)
+        weights = component_weight_indices(model, components)
         blocks = pack_components(
             components, weights, range(len(components)), sub_size=3
         )
         assert all(len(b) <= 3 for b in blocks)
-        assert sorted(v for b in blocks for v in b) == sorted(bqm.variables)
+        assert sorted(i for b in blocks for i in b) == list(range(model.num_variables))
 
     def test_graph_partition_deterministic_without_order(self):
         _, _, bqm = _mqo_bqm()
-        assert select_by_graph_partition(bqm, 6) == select_by_graph_partition(
-            bqm, 6
-        )
+
+        def partition():
+            model = compile_bqm(bqm)
+            components = strong_component_indices(model)
+            weights = component_weight_indices(model, components)
+            return pack_components(components, weights, range(len(components)), 6)
+
+        assert partition() == partition()
 
     def test_clamp_subproblem_energy_identity(self):
         """Sub-model energies equal full-model energies of the patched
@@ -317,10 +322,9 @@ class TestDecomposer:
             clamp_subproblem(bqm, ["nope"], {v: 0 for v in bqm.variables})
 
     def test_greedy_descent_reaches_single_flip_minimum(self):
-        bqm = _small_bqm()
-        sample = greedy_descent(bqm, {v: 0 for v in bqm.variables})
-        gains = flip_energy_gains(bqm, sample)
-        assert all(g >= -1e-9 for g in gains.values())
+        model = compile_bqm(_small_bqm())
+        state = descend(model, np.zeros(model.num_variables))
+        assert all(g >= -1e-9 for g in flip_gains(model, state))
 
 
 # ----------------------------------------------------------------------
@@ -609,10 +613,10 @@ class TestTimeBudgetedSolve:
         import weakref
 
         from repro.hybrid import supports_time_budget
-        from repro.hybrid.registry import accepts_keyword, supports_compiled
+        from repro.hybrid.registry import accepts_keyword
 
         solver = make_solver("tabu")
-        assert supports_time_budget(solver) and supports_compiled(solver)
+        assert supports_time_budget(solver)
         assert supports_time_budget(solver)  # cached answer agrees
         assert accepts_keyword(type(solver).solve, "self")  # unbound keeps self
         assert not accepts_keyword(solver.solve, "self")  # bound drops it

@@ -146,6 +146,13 @@ class TestInvariants:
         bad = check_compiled_energy_consistency(bqm, samples, drop_interaction=True)
         assert bad and bad[0].invariant == "compiled-energy-consistency"
 
+    def test_matrix_energy_catches_dropped_compiled_diagonal(self):
+        built = build_case(_mqo_case(3, 3))
+        samples = random_assignments(built.bqm, 8, seed=1)
+        bad = check_matrix_energy(built.bqm, samples, drop_matrix_diagonal=True)
+        assert [v.invariant for v in bad] == ["matrix-energy"]
+        assert bad[0].details["fields"] == ["matrix"]
+
     def test_ising_round_trip_catches_coupling_bug(self):
         built = build_case(_mqo_case(3, 3))
         samples = random_assignments(built.bqm, 8, seed=1)
