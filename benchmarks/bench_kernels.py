@@ -28,9 +28,10 @@ Measures the two layers the compiled representation accelerates:
   ``speedup`` (dict / arrays).
 * **tabu** — wall time of one ``TabuSampler.sample`` call on the
   compiled model (the sampler's default tenure and stopping rules) per
-  model size and read count, as median and quartiles over repeats.  Models up to 49
-  variables have the interaction density of the join-order and MQO
-  models the hybrid stage serves (~0.45); larger ones are sparser.
+  model size and read count, as median and quartiles over repeats.
+  Models up to 49 variables have the interaction density of the
+  join-order and MQO models the hybrid stage serves (~0.45); larger
+  ones are sparser.
   ``best_energy`` is recorded so two trees' tables can be checked for
   identical results.
 

@@ -18,7 +18,9 @@ options (unknown option names raise
 Every built-in ``solve`` takes a
 :class:`~repro.qubo.compiled.CompiledBQM` (the service chains hand each
 stage the cached compiled model) or a dict
-:class:`~repro.qubo.bqm.BinaryQuadraticModel`, compiled on entry.
+:class:`~repro.qubo.bqm.BinaryQuadraticModel`, compiled on entry (the
+gate-model eigensolvers instead convert a compiled model back with
+``to_bqm()``).
 Solvers whose ``solve`` accepts a ``time_budget`` keyword (seconds)
 stop cooperatively once the budget is spent and return the best sample
 found so far — the contract the service layer's deadline-aware
@@ -358,7 +360,8 @@ class EigenSolver:
 
         check_size(self, bqm)
         # the Ising Hamiltonian is built from the dict model
-        bqm = as_compiled(bqm).to_bqm()
+        if isinstance(bqm, CompiledBQM):
+            bqm = bqm.to_bqm()
         if self.kind == "exact-eigen":
             inner = NumPyMinimumEigensolver()
         elif self.kind == "vqe":

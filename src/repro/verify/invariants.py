@@ -770,9 +770,9 @@ def check_shard_reconciliation(
 
     The merge and the boundary pass run on state vectors of the
     compiled model, as the fleet solver's do; the dict model scores the
-    naive merge and the frontier flips.  ``reconcile=False`` exists for harness self-tests: skipping the
-    boundary pass is exactly the planted bug behind
-    ``--inject shard``.
+    naive merge and the frontier flips.  ``reconcile=False`` exists for
+    harness self-tests: skipping the boundary pass is exactly the
+    planted bug behind ``--inject shard``.
     """
     from repro.annealers import AnnealerFleet
     from repro.hybrid import clamp_subproblem, frontier_indices, reconcile_states
