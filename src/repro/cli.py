@@ -250,7 +250,6 @@ def _cmd_solve_join(args: argparse.Namespace) -> int:
 def _print_service_stats(stats: Dict) -> None:
     counters = stats.get("counters", {})
     histograms = stats.get("histograms", {})
-    cache = stats.get("cache", {})
     total = counters.get("requests_total", 0)
     ok = counters.get("requests_ok", 0)
     rejected = counters.get("requests_rejected", 0)
@@ -276,10 +275,7 @@ def _print_service_stats(stats: Dict) -> None:
     result_hits = counters.get("cache.result_hits", 0)
     result_lookups = result_hits + counters.get("cache.result_misses", 0)
     hit_pct = 100.0 * result_hits / result_lookups if result_lookups else 0.0
-    print(
-        f"cache: result hits {result_hits}/{result_lookups} ({hit_pct:.1f}%), "
-        f"compile hits {cache.get('compiled', {}).get('hits', 0)}"
-    )
+    print(f"cache: result hits {result_hits}/{result_lookups} ({hit_pct:.1f}%)")
     routing = stats.get("routing")
     if routing and routing.get("enabled"):
         regret = routing.get("regret_ms", {})
@@ -955,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-warmup", action="store_true",
-        help="skip per-worker compilation-cache warmup",
+        help="skip per-worker warmup (imports, kernels, QUBO build path)",
     )
     serve.add_argument(
         "--route", action="store_true",

@@ -39,7 +39,7 @@ kernel, so results stay bit-identical to it
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -86,12 +86,10 @@ class TabuSampler:
         bqm: Union[BinaryQuadraticModel, CompiledBQM],
         num_reads: int = 10,
         seed: Optional[int] = None,
-        initial_states: Optional[Sequence[Mapping[Hashable, int]]] = None,
     ) -> SampleSet:
         """Run ``num_reads`` independent tabu searches, one after another.
 
-        ``initial_states`` warm-starts the first reads (in the vartype
-        of ``bqm``); remaining reads start from random assignments.
+        Every read starts from a random spin assignment.
         ``bqm`` may itself be a :class:`CompiledBQM`; a dict model is
         compiled on the fly.  Returns a :class:`SampleSet` holding each
         read's best sample, in the vartype of the input model,
@@ -113,10 +111,7 @@ class TabuSampler:
             self.stall_limit if self.stall_limit is not None else max(100, 4 * n)
         )
 
-        starts = self._initial_spins(
-            bqm.vartype, spin.index, n, num_reads, initial_states, rng
-        )
-
+        starts = rng.choice((-1.0, 1.0), size=(num_reads, n))
         best_spins, best_energies = self._search(
             starts, spin, tenure, max_iter, stall_limit
         )
@@ -137,28 +132,6 @@ class TabuSampler:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _initial_spins(
-        vartype: Vartype,
-        index: Dict[Hashable, int],
-        n: int,
-        num_reads: int,
-        initial_states: Optional[Sequence[Mapping[Hashable, int]]],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Per-read start vectors: warm starts first, then random."""
-        starts = rng.choice((-1.0, 1.0), size=(num_reads, n))
-        for read, state in enumerate(initial_states or ()):
-            if read >= num_reads:
-                break
-            for v, value in state.items():
-                if v not in index:
-                    raise SolverError(f"initial state has unknown variable {v!r}")
-                if vartype is Vartype.BINARY:
-                    value = 2 * int(value) - 1
-                starts[read, index[v]] = float(value)
-        return starts
-
     @staticmethod
     def _search(
         starts: np.ndarray,

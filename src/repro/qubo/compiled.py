@@ -62,8 +62,8 @@ class CompiledBQM:
     QUBO builders both end here.
 
     Instances are immutable once built and safe to share across threads
-    (the service's compilation cache hands one compiled model to every
-    request for the same problem fingerprint).  Derived arrays are
+    (one compiled model serves every stage of a request's fallback
+    chain).  Derived arrays are
     computed on first use; two threads racing on one compute the same
     value.
     """

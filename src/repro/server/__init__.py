@@ -7,10 +7,11 @@ service with deadline-aware fallback chains.  This package makes it
 * :mod:`~repro.server.pool` — :class:`ProcessPoolScheduler`, a
   process-per-worker backend so solver throughput scales with cores
   instead of serializing on the GIL.  Requests/results cross workers
-  as :mod:`repro.serialization` JSON; per-worker caches warm at
-  startup; ``stats()`` merges every worker into one report.
-* request coalescing and the one result cache (shared with the
-  thread backend, see :class:`repro.service.core.SchedulerBase`) —
+  as :mod:`repro.serialization` JSON; each worker warms its imports
+  and kernels at startup; ``stats()`` merges every worker into one
+  report.
+* request coalescing and the one cache, of served results (shared
+  with the thread backend, see :class:`repro.service.core.SchedulerBase`) —
   duplicate in-flight requests attach to the running solve and all
   receive its result; repeats of a finished one are answered in the
   scheduler without a solve.
@@ -68,7 +69,6 @@ def make_scheduler(
     config: Optional[ServiceConfig] = None,
     workers: Optional[int] = None,
     queue_limit: Optional[int] = None,
-    coalesce: bool = True,
     warmup: Optional[Sequence] = None,
 ) -> SchedulerBase:
     """Build a serving scheduler for either executor backend.
@@ -107,13 +107,10 @@ def make_scheduler(
             service,
             workers=workers,
             queue_limit=queue_limit,
-            coalesce=coalesce,
-            result_capacity=config.result_capacity,
         )
     return ProcessPoolScheduler(
         config=config,
         workers=workers,
         queue_limit=queue_limit,
-        coalesce=coalesce,
         warmup=warmup,
     )

@@ -5,9 +5,8 @@ GIL — the 64-request serving benchmark recorded when this backend was
 added (commit 35c5f5e) showed throughput *falling* as workers were
 added.  :class:`ProcessPoolScheduler` is the drop-in replacement: each
 worker is a separate OS process owning a full
-:class:`~repro.service.core.OptimizationService` (its own compilation
-cache, metrics, and fallback chain), so solves run truly concurrently
-on multi-core hosts.
+:class:`~repro.service.core.OptimizationService` (its own metrics and
+fallback chain), so solves run truly concurrently on multi-core hosts.
 
 Design decisions worth knowing:
 
@@ -24,7 +23,7 @@ Design decisions worth knowing:
   bit-identical plans and energies at ``workers=1`` and ``workers=4``.
 * **Per-worker warmup** — each worker optimizes a tiny problem of
   every registered kind before reporting ready, pulling lazy imports,
-  numpy kernels, and the compile path hot so the first real request
+  numpy kernels, and the QUBO build path hot so the first real request
   isn't billed for interpreter warmup; counters are zeroed afterwards.
 * **Mergeable stats** — ``stats()`` polls every worker for its raw
   metric state and folds them (plus parent-side admission/coalescing
@@ -34,8 +33,8 @@ Design decisions worth knowing:
   assignment, and a dedicated control lane for stats polls and the
   graceful-shutdown sentinel (queued work always drains first).
 * **Parent-side result cache** — :class:`SchedulerBase`'s bounded LRU
-  (``ServiceConfig.result_capacity`` entries), the pool's only result
-  cache: a repeat of a finished request is answered inside
+  (``RESULT_CAPACITY`` entries), the pool's one cache: a repeat of a
+  finished request is answered inside
   :meth:`submit` — no JSON encode, no IPC, no adapter rebuild in a
   worker.  Parent hits and misses are counted under the worker's
   metric names so the merged report stays exact.
@@ -56,7 +55,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import serialization
 from repro.exceptions import ConfigurationError, SolverError, WorkerCrashError
-from repro.service.cache import merge_cache_stats
 from repro.service.chain import StageSpec, default_policy, parse_policy
 from repro.service.core import OptimizationService, SchedulerBase
 from repro.service.metrics import merge_metric_states
@@ -79,16 +77,13 @@ class ServiceConfig:
     """JSON-able recipe for building one per-worker service instance.
 
     Worker processes cannot receive a live :class:`OptimizationService`
-    (caches and locks don't cross ``exec`` boundaries under the spawn
+    (metrics and locks don't cross ``exec`` boundaries under the spawn
     start method), so the pool ships this config and every worker
-    builds its own.  ``result_capacity`` sizes the scheduler's result
-    cache, which lives in the parent (or beside the thread backend's
-    service), not in the workers.
+    builds its own.
     """
 
     policy: Optional[Tuple[StageSpec, ...]] = None
     seed: int = 0
-    result_capacity: int = 1024
     #: enable deadline-aware routing (:mod:`repro.routing`): each
     #: worker builds its own RoutingPolicy over the effective policy's
     #: stages; ``stats()`` merges the per-worker ``router.*`` metrics
@@ -113,7 +108,6 @@ class ServiceConfig:
             if self.policy is None
             else [stage.to_dict() for stage in self.policy],
             "seed": self.seed,
-            "result_capacity": self.result_capacity,
             "routing": self.routing,
         }
 
@@ -123,7 +117,6 @@ class ServiceConfig:
         return cls(
             policy=None if policy is None else parse_policy(policy),
             seed=int(data.get("seed", 0)),
-            result_capacity=int(data.get("result_capacity", 1024)),
             routing=bool(data.get("routing", False)),
         )
 
@@ -171,17 +164,14 @@ def default_warmup_requests(include_sql: bool = True) -> List[OptimizationReques
 
 
 def warm_up(service: OptimizationService, requests: Sequence[OptimizationRequest]) -> None:
-    """Serve ``requests`` best-effort, then zero the service's counters.
-
-    The warm entries stay cached; the serving report starts clean.
-    """
+    """Serve ``requests`` best-effort, then zero the service's counters,
+    so the serving report starts clean."""
     for request in requests:
         try:
             service.optimize(request)
         except Exception:  # noqa: BLE001 — warmup is best-effort
             pass
     service.metrics.reset()
-    service.cache.reset_counters()
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +234,6 @@ class ProcessPoolScheduler(SchedulerBase):
         config: Optional[ServiceConfig] = None,
         workers: Optional[int] = None,
         queue_limit: Optional[int] = None,
-        coalesce: bool = True,
         warmup: Optional[Sequence[OptimizationRequest]] = None,
         start_method: Optional[str] = None,
         ready_timeout: float = 120.0,
@@ -252,10 +241,8 @@ class ProcessPoolScheduler(SchedulerBase):
         self.config = config if config is not None else ServiceConfig()
         super().__init__(
             (self.config.seed, self.config.effective_policy(), self.config.routing),
-            self.config.result_capacity,
             workers=workers,
             queue_limit=queue_limit,
-            coalesce=coalesce,
         )
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -327,8 +314,8 @@ class ProcessPoolScheduler(SchedulerBase):
         """One merged report across every worker plus the parent.
 
         Counters sum, latency reservoirs concatenate (percentiles are
-        recomputed over the union), per-worker caches aggregate, and
-        the parent's admission/coalescing counters fold in — the shape
+        recomputed over the union), and the parent's admission,
+        coalescing and result-cache counters fold in — the shape
         matches :meth:`OptimizationService.stats` with an extra
         ``scheduler`` section.
         """
@@ -340,7 +327,6 @@ class ProcessPoolScheduler(SchedulerBase):
         merged = merge_metric_states(state["metrics"] for state in states)
         merged.merge_state(self.scheduler_metrics.state())
         snapshot = merged.snapshot()
-        snapshot["cache"] = merge_cache_stats(state["cache"] for state in states)
         snapshot["uptime_seconds"] = max(
             (state["uptime_seconds"] for state in states), default=0.0
         )

@@ -14,11 +14,10 @@ registry (PR 2) and harness primitives (PR 1) into that serving layer:
   per-stage time budgets and graceful degradation;
 * :mod:`~repro.service.problems` — per-problem-kind adapters (QUBO
   compilation, decoding, guaranteed classical fallback);
-* :mod:`~repro.service.cache` — the content-hash keyed compilation
-  cache (served results are cached by the scheduler);
 * :mod:`~repro.service.core` — the thread-safe
   :class:`OptimizationService` and the admission-controlled
-  :class:`BatchScheduler`;
+  :class:`BatchScheduler`, whose :class:`SchedulerBase` front end
+  holds the one cache (of served results);
 * :mod:`~repro.service.metrics` — counters and latency histograms
   behind a ``stats()`` snapshot.
 
@@ -26,7 +25,6 @@ Request workloads come from :func:`repro.replay.replay_stream`, and
 ``python -m repro replay`` drives them through a scheduler.
 """
 
-from repro.service.cache import CompilationCache, merge_cache_stats
 from repro.service.chain import (
     ChainOutcome,
     Deadline,
@@ -55,7 +53,6 @@ from repro.service.request import (
 __all__ = [
     "BatchScheduler",
     "ChainOutcome",
-    "CompilationCache",
     "Deadline",
     "Histogram",
     "JoinOrderAdapter",
@@ -69,7 +66,6 @@ __all__ = [
     "coalesce_key",
     "default_policy",
     "make_adapter",
-    "merge_cache_stats",
     "merge_metric_states",
     "parse_policy",
     "request_from_dict",

@@ -2,15 +2,15 @@
 
 :class:`OptimizationService` is embeddable and thread-safe: any number
 of threads may call :meth:`~OptimizationService.optimize` concurrently
-against shared caches and metrics.  :class:`BatchScheduler` adds a
-worker pool with admission control on top — a bounded in-flight count,
-rejecting excess requests with a reason instead of queueing unboundedly.
+against shared metrics.  :class:`BatchScheduler` adds a worker pool
+with admission control on top — a bounded in-flight count, rejecting
+excess requests with a reason instead of queueing unboundedly.
 
-Caching is split by layer: the service caches compiled problems
-(:class:`~repro.service.cache.CompilationCache`), and
-:class:`SchedulerBase` — the front end of both scheduler backends —
-holds the one cache of served results.  A direct
-:meth:`~OptimizationService.optimize` call always runs the chain.
+The service keeps no per-problem state: every
+:meth:`~OptimizationService.optimize` call builds its problem's QUBO
+and runs the chain.  :class:`SchedulerBase` — the front end of both
+scheduler backends — holds the serving stack's one cache, of served
+results.
 
 Determinism contract: a request's solve seed is derived (harness
 SHA-256 scheme) from the root seed, the problem's content fingerprint,
@@ -25,14 +25,14 @@ stage reached completes within its deadline slice).
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from threading import RLock
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.harness import derive_seed, resolve_workers
-from repro.service.cache import CompilationCache, LruSection
 from repro.service.chain import StageSpec, default_policy, policy_key, run_chain
 from repro.service.metrics import Metrics
 from repro.service.problems import make_adapter, problem_fingerprint
@@ -50,6 +50,9 @@ __all__ = [
     "record_arrival",
     "record_served",
 ]
+
+#: served results each scheduler keeps
+RESULT_CAPACITY = 1024
 
 
 def record_arrival(metrics: Metrics, kind: str) -> None:
@@ -121,7 +124,6 @@ class OptimizationService:
             tuple(policy) if policy is not None else default_policy()
         )
         self.seed = int(seed)
-        self.cache = CompilationCache()
         self.metrics = Metrics()
         #: optional :class:`repro.routing.RoutingPolicy` — when set,
         #: requests without an explicit per-request policy get their
@@ -137,7 +139,9 @@ class OptimizationService:
         start = time.perf_counter()
         record_arrival(self.metrics, request.kind)
 
-        adapter = self._compiled_adapter(request)
+        adapter = make_adapter(request.kind, request.problem)
+        # build first: the chain's deadline starts after the QUBO exists
+        adapter.compiled()
         root_seed = self.seed if request.seed is None else int(request.seed)
         policy = request.policy if request.policy is not None else self.policy
         # the solve seed derives from the *static* policy key, not the
@@ -189,9 +193,8 @@ class OptimizationService:
         )
 
     def stats(self) -> Dict:
-        """Metrics + cache snapshot for dashboards and the CLI."""
+        """Metrics snapshot for dashboards and the CLI."""
         snapshot = self.metrics.snapshot()
-        snapshot["cache"] = self.cache.stats()
         snapshot["uptime_seconds"] = time.perf_counter() - self._started
         if self.routing is not None:
             from repro.routing.router import routing_section
@@ -212,21 +215,30 @@ class OptimizationService:
         """
         return {
             "metrics": self.metrics.state(),
-            "cache": self.cache.stats(),
             "uptime_seconds": time.perf_counter() - self._started,
         }
 
-    # ------------------------------------------------------------------
-    def _compiled_adapter(self, request: OptimizationRequest):
-        probe = make_adapter(request.kind, request.problem)
-        cached = self.cache.get_compiled(probe.fingerprint)
-        if cached is not None:
-            self.metrics.incr("cache.compile_hits")
-            return cached
-        self.metrics.incr("cache.compile_misses")
-        probe.compiled()  # build eagerly: the cached adapter serves from it
-        self.cache.put_compiled(probe.fingerprint, probe)
-        return probe
+
+class LruSection:
+    """One bounded LRU map (not thread-safe on its own)."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = int(capacity)
+        self.entries: "OrderedDict[str, Any]" = OrderedDict()
+        self.hits = 0
+
+    def get(self, key: str) -> Optional[Any]:
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return self.entries[key]
+        return None
+
+    def put(self, key: str, value: Any) -> None:
+        self.entries[key] = value
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
 
 
 class SchedulerBase:
@@ -236,8 +248,8 @@ class SchedulerBase:
     pool in :mod:`repro.server.pool` — share everything :meth:`submit`
     does before a solve starts:
 
-    * **result cache**: the only cache of served results — a bounded
-      LRU (``result_capacity`` entries) keyed by the request's
+    * **result cache**: the serving stack's one cache — a bounded
+      LRU (``RESULT_CAPACITY`` entries) keyed by the request's
       :func:`coalesce_key`.  A finished answer is stored when it is
       deterministic (``ok``, not deadline-truncated, positive
       deadline), before the client's future resolves, so a repeat
@@ -261,8 +273,7 @@ class SchedulerBase:
     * **shutdown**: :meth:`submit` after :meth:`shutdown` raises
       :class:`ConfigurationError`.
 
-    ``coalesce=False`` computes no key, so it bypasses the result cache
-    as well.  ``key_inputs`` is the ``(seed, policy, routed)`` triple
+    ``key_inputs`` is the ``(seed, policy, routed)`` triple
     the coalesce key is computed from; ``metrics`` receives the
     scheduler's counters (a fresh :class:`Metrics` by default).
     Subclasses provide ``_dispatch`` (start one solve), ``stats`` and
@@ -274,17 +285,14 @@ class SchedulerBase:
     def __init__(
         self,
         key_inputs: Tuple[int, Sequence[StageSpec], bool],
-        result_capacity: int,
         workers: Optional[int] = None,
         queue_limit: Optional[int] = None,
-        coalesce: bool = True,
         metrics: Optional[Metrics] = None,
     ) -> None:
         seed, policy, routed = key_inputs
         self._key_inputs = (int(seed), tuple(policy), bool(routed))
         self.workers = resolve_workers(workers)
         self.queue_limit = queue_limit
-        self.coalesce = bool(coalesce)
         self.scheduler_metrics = metrics if metrics is not None else Metrics()
         # reentrant: a fast completion may run _release from within the
         # submitting thread's add_done_callback while submit holds it.
@@ -294,27 +302,26 @@ class SchedulerBase:
         self._closed = False
         self._in_flight = 0
         self._flights: Dict[str, "Future[OptimizationResult]"] = {}
-        self._results = LruSection(result_capacity)
+        self._results = LruSection(RESULT_CAPACITY)
 
     # ------------------------------------------------------------------
     def submit(self, request: OptimizationRequest) -> "Future[OptimizationResult]":
         """Answer from cache, coalesce, reject or dispatch one request."""
         start = time.perf_counter()
-        key = coalesce_key(request, *self._key_inputs) if self.coalesce else None
+        key = coalesce_key(request, *self._key_inputs)
         with self._lock:
             if self._closed:
                 raise ConfigurationError("scheduler is shut down")
-            if key is not None:
-                stored = self._results.get(key)
-                if stored is not None:
-                    future: "Future[OptimizationResult]" = Future()
-                    future.set_result(self._hit(request, stored, start))
-                    return future
-                primary = self._flights.get(key)
-                if primary is not None:
-                    self.scheduler_metrics.incr("coalesce.hits")
-                    return _chain(primary, lambda r: r.with_request_id(request.request_id))
-                self.scheduler_metrics.incr("coalesce.misses")
+            stored = self._results.get(key)
+            if stored is not None:
+                future: "Future[OptimizationResult]" = Future()
+                future.set_result(self._hit(request, stored, start))
+                return future
+            primary = self._flights.get(key)
+            if primary is not None:
+                self.scheduler_metrics.incr("coalesce.hits")
+                return _chain(primary, lambda r: r.with_request_id(request.request_id))
+            self.scheduler_metrics.incr("coalesce.misses")
             if self.queue_limit is not None and self._in_flight >= self.queue_limit:
                 reason = (
                     f"queue saturated: {self._in_flight} request(s) in flight "
@@ -325,11 +332,10 @@ class SchedulerBase:
                 return future
             self._in_flight += 1
             future = self._dispatch(request)
-            if key is not None:
-                self.scheduler_metrics.incr("cache.result_misses")
-                # the answer is stored before the client's future resolves
-                future = _chain(future, lambda r: self._remember(request, key, r))
-                self._flights[key] = future
+            self.scheduler_metrics.incr("cache.result_misses")
+            # the answer is stored before the client's future resolves
+            future = _chain(future, lambda r: self._remember(request, key, r))
+            self._flights[key] = future
             future.add_done_callback(lambda _f: self._release(key))
         return future
 
@@ -356,11 +362,10 @@ class SchedulerBase:
         """Start one solve; called under the scheduler lock."""
         raise NotImplementedError
 
-    def _release(self, key: Optional[str]) -> None:
+    def _release(self, key: str) -> None:
         with self._lock:
             self._in_flight -= 1
-            if key is not None:
-                self._flights.pop(key, None)
+            self._flights.pop(key, None)
 
     def _hit(
         self, request: OptimizationRequest, stored: OptimizationResult, start: float
@@ -414,7 +419,6 @@ class SchedulerBase:
             "queue_limit": self.queue_limit,
             "in_flight": in_flight,
             "coalesce": {
-                "enabled": self.coalesce,
                 "hits": hits,
                 "misses": misses,
                 "hit_rate": (hits / lookups) if lookups else 0.0,
@@ -460,15 +464,11 @@ class BatchScheduler(SchedulerBase):
         service: OptimizationService,
         workers: Optional[int] = None,
         queue_limit: Optional[int] = None,
-        coalesce: bool = True,
-        result_capacity: int = 1024,
     ) -> None:
         super().__init__(
             (service.seed, service.policy, service.routing is not None),
-            result_capacity,
             workers=workers,
             queue_limit=queue_limit,
-            coalesce=coalesce,
             metrics=service.metrics,
         )
         self.service = service

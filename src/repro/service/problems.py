@@ -14,12 +14,11 @@ things per problem family:
   a sample decodes to a join order, valid iff the one-hot constraints
   hold; fallback is the GOO-style greedy order.
 
-``compiled`` is where *compilation* happens — the expensive,
-request-independent part the service's compilation cache reuses across
-requests for the same problem (content-hash fingerprint keys, same
-scheme as the harness cache).  It writes the QUBO straight into
-:class:`~repro.qubo.compiled.CompiledBQM` arrays; the dict model behind
-``bqm`` is built only on demand.
+``compiled`` is where *compilation* happens, once per adapter: it
+writes the QUBO straight into :class:`~repro.qubo.compiled.CompiledBQM`
+arrays that every chain stage reads; the dict model behind ``bqm`` is
+built only on demand.  ``fingerprint`` is the problem's content hash
+(same scheme as the harness cache), from which solve seeds derive.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ the two cost paths, and the service solves the extracted graph.
 :class:`SqlQuery` is the serving payload: raw SQL plus the catalog it
 binds against.  :class:`SqlAdapter` derives the join graph once and
 then *is* a :class:`~repro.service.problems.JoinOrderAdapter` over it,
-so the whole fallback chain and compilation cache work unchanged.
-Its fingerprint hashes the derived graph (under the ``sql`` kind), so
-textually different queries that induce the same join-ordering problem
-share a compiled entry and a solve seed, and are served the same plan.
+so the whole fallback chain works unchanged.  Its fingerprint hashes
+the derived graph (under the ``sql`` kind), so textually different
+queries that induce the same join-ordering problem share a solve seed
+and are served the same plan.
 
 Importing this module registers the ``sql`` problem kind with the
 service and the ``sql_query``/``catalog`` payload kinds with
@@ -137,10 +137,9 @@ class SqlAdapter(JoinOrderAdapter):
 
     Planning happens once at construction; afterwards this behaves
     exactly like a join-order adapter over the derived graph, so every
-    stage of the fallback chain and both service caches apply.  The
-    fingerprint hashes the *derived graph* under the ``sql`` kind:
-    equivalent queries (whitespace, aliasing, predicate order) map to
-    the same cache entries.
+    stage of the fallback chain applies.  The fingerprint hashes the
+    *derived graph* under the ``sql`` kind: equivalent queries
+    (whitespace, aliasing, predicate order) get the same solve seed.
     """
 
     kind = "sql"

@@ -127,16 +127,6 @@ def sampler_cases():
             {"max_iter": 400},
             {"num_reads": 3, "seed": 19},
         ),
-        (
-            "tabu-warm-start",
-            lambda: _random_bqm(8, 0.45, 15, Vartype.BINARY),
-            "tabu",
-            {"seed": 3},
-            {
-                "num_reads": 3,
-                "initial_states": [{f"x{i:02d}": i % 2 for i in range(8)}],
-            },
-        ),
     ]
 
 

@@ -23,7 +23,7 @@ from repro.mqo.generator import random_mqo_problem
 from repro.mqo.problem import MqoProblem, Plan, Saving
 from repro.mqo.qubo import MqoQuboBuilder
 from repro.qubo import BinaryQuadraticModel, Vartype, brute_force_minimum, compile_bqm
-from repro.service import OptimizationRequest, OptimizationService
+from repro.service import OptimizationRequest, OptimizationService, make_adapter
 from repro.sql import generate_query, plan_query, tpch_catalog
 from repro.sql.pipeline import SqlQuery
 
@@ -222,7 +222,8 @@ def test_cold_optimize_builds_no_dict_model(monkeypatch, index):
     assert built == []
 
     monkeypatch.setattr(BinaryQuadraticModel, "__init__", original)
-    adapter = service._compiled_adapter(request)
+    adapter = make_adapter(request.kind, request.problem)
+    adapter.compiled()
     dict_model = adapter.bqm()
     assert isinstance(dict_model, BinaryQuadraticModel)
     reference = adapter._builder.build()

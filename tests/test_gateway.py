@@ -77,7 +77,8 @@ class TestRouting:
     def test_stats_shape(self, gateway):
         status, body = call(f"{gateway.url}/stats")
         assert status == 200
-        assert {"counters", "histograms", "cache", "scheduler"} <= set(body)
+        assert {"counters", "histograms", "scheduler"} <= set(body)
+        assert "cache" not in body
 
 
 class TestValidation:
@@ -177,7 +178,6 @@ class TestBackpressure:
             config=ServiceConfig(seed=5),
             workers=1,
             queue_limit=1,
-            coalesce=False,
             warmup=[],
         )
         with serve_in_background(scheduler, default_deadline_ms=500.0) as handle:
@@ -370,7 +370,6 @@ class TestRoutedGateway:
             config=ServiceConfig(seed=5, routing=True),
             workers=1,
             queue_limit=1,
-            coalesce=False,
             warmup=[],
         )
         with serve_in_background(scheduler, default_deadline_ms=500.0) as handle:

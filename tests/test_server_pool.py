@@ -28,7 +28,7 @@ from repro.server import (
     make_scheduler,
 )
 from repro.service import OptimizationRequest
-from repro.service.core import coalesce_key
+from repro.service.core import RESULT_CAPACITY, coalesce_key
 from repro.service.request import problem_to_dict
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -150,7 +150,7 @@ class TestMergedStats:
         # pool_results captured stats() inside the context manager; a
         # post-shutdown call must replay the final snapshot, not hang
         scheduler = ProcessPoolScheduler(
-            config=ServiceConfig(seed=1), workers=1, coalesce=False, warmup=[]
+            config=ServiceConfig(seed=1), workers=1, warmup=[]
         )
         scheduler.run(workload[:2])
         scheduler.shutdown()
@@ -205,7 +205,7 @@ class ResultCacheContract:
         assert signature(again) == signature(first)
         assert stats["scheduler"]["result_cache"] == {
             "size": 1,
-            "capacity": ServiceConfig().result_capacity,
+            "capacity": RESULT_CAPACITY,
             "hits": 1,
         }
         # the scheduler hit is counted like a service hit, the miss only once
@@ -282,21 +282,12 @@ class ResultCacheContract:
         with pytest.raises(ConfigurationError, match="shut down"):
             scheduler.submit(request)
 
-    def test_coalesce_false_bypasses_cache(self):
-        request = mqo_request("bypass", seed=407)
-        with self.scheduler(coalesce=False) as scheduler:
-            served(scheduler, request)
-            again = served(scheduler, request)
-            stats = scheduler.stats()
-        assert not again.cache_hit  # no key, so no cache: the service re-solved
-        assert stats["scheduler"]["result_cache"]["size"] == 0
-        assert stats["scheduler"]["result_cache"]["hits"] == 0
-        assert self.service_ok(stats) == [2]
+    def test_capacity_is_result_capacity_with_lru_eviction(self, monkeypatch):
+        from repro.service import core
 
-    def test_capacity_is_result_capacity_with_lru_eviction(self):
+        monkeypatch.setattr(core, "RESULT_CAPACITY", 2)
         a, b, c = (mqo_request(name, seed=410 + i) for i, name in enumerate("abc"))
-        config = ServiceConfig(seed=WORKLOAD_SEED, result_capacity=2)
-        with self.scheduler(config) as scheduler:
+        with self.scheduler() as scheduler:
             for request in (a, b, a, c):  # a refreshed, so c evicts b
                 served(scheduler, request)
             a_again = served(scheduler, a)
@@ -378,7 +369,7 @@ class ResultCacheContract:
         with self.scheduler() as scheduler:
             scheduler.run(requests)
             stats = scheduler.stats()
-        assert "results" not in stats["cache"]
+        assert "cache" not in stats
         assert stats["scheduler"]["result_cache"]["size"] == len(requests)
 
 
@@ -462,12 +453,14 @@ class TestThreadResultCache(ResultCacheContract):
 
 
 class TestAdmissionControl:
-    def test_queue_limit_rejections_counted_parent_side(self, workload):
+    def test_queue_limit_rejections_counted_parent_side(self):
+        workload = distinct_stream(
+            10, seed=WORKLOAD_SEED, deadline_ms=500.0, sql_fraction=0.2
+        )
         with ProcessPoolScheduler(
             config=ServiceConfig(seed=WORKLOAD_SEED),
             workers=1,
             queue_limit=1,
-            coalesce=False,
             warmup=[],
         ) as scheduler:
             futures = [scheduler.submit(request) for request in workload]
@@ -486,8 +479,9 @@ class TestServiceConfig:
 
         config = ServiceConfig(policy=parse_policy("tabu,greedy"), seed=9)
         assert ServiceConfig.from_dict(config.to_dict()) == config
-        # a config written before compiled_capacity became a constant
-        old = dict(config.to_dict(), compiled_capacity=256)
+        # a config written before compiled_capacity and result_capacity
+        # became constants
+        old = dict(config.to_dict(), compiled_capacity=256, result_capacity=1024)
         assert ServiceConfig.from_dict(old) == config
 
     def test_default_warmup_covers_registered_kinds(self):
@@ -534,7 +528,6 @@ class TestRoutedDeterminism:
                 config=ServiceConfig(seed=53, routing=True),
                 workers=1,
                 warmup=[],
-                coalesce=False,
             ) as scheduler:
                 results = scheduler.run(routed_workload)
                 served[backend] = ([signature(r) for r in results], scheduler.stats())

@@ -1,5 +1,6 @@
 """Tests for the deadline-aware optimization service."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import weakref
 
 import pytest
 
@@ -282,15 +284,23 @@ class TestService:
         assert second.served_by == first.served_by
         assert service.metrics.counter("cache.result_hits") == 1
 
-    def test_compilation_cache_reused_across_policies(self, mqo_problem):
+    def test_direct_optimize_caches_no_results(self, mqo_problem):
         service = OptimizationService(seed=0)
         service.optimize(mqo_request(mqo_problem, policy=parse_policy("greedy")))
         service.optimize(
             mqo_request(mqo_problem, request_id="r2", policy=parse_policy("tabu"))
         )
-        assert service.metrics.counter("cache.compile_hits") == 1
-        # optimize() caches no results: only the compiled entry is shared
         assert service.metrics.counter("cache.result_hits") == 0
+
+    def test_optimize_keeps_no_per_problem_state(self):
+        service = OptimizationService(seed=0)
+        problem = random_mqo_problem(5, 3, seed=11)
+        alive = weakref.ref(problem)
+        result = service.optimize(mqo_request(problem))
+        assert result.valid
+        del problem, result
+        gc.collect()
+        assert alive() is None
 
     def test_truncated_results_not_cached(self, mqo_problem):
         with BatchScheduler(OptimizationService(seed=0), workers=1) as scheduler:
@@ -316,7 +326,7 @@ class TestService:
         assert stats["counters"]["requests_total"] == 1
         assert stats["counters"]["requests_ok"] == 1
         assert stats["histograms"]["latency_ms"]["count"] == 1
-        assert list(stats["cache"]) == ["compiled"]
+        assert "cache" not in stats
 
     #: SHA-256 of the plans served below; a change means the miss path (QUBO
     #: build, compile, chain stages) serves different plans -- do not re-pin
@@ -505,7 +515,7 @@ class TestMetricsUnderLoad:
 
     def test_cache_hit_counters_across_repeated_requests(self, mqo_problem):
         """Three identical requests: one result-cache miss, then two hits
-        that never reach the service's compile cache."""
+        that never reach the service."""
         service = OptimizationService(seed=0)
         with BatchScheduler(service, workers=1) as scheduler:
             results = [
@@ -515,8 +525,6 @@ class TestMetricsUnderLoad:
         assert [r.cache_hit for r in results] == [False, True, True]
         assert service.metrics.counter("cache.result_hits") == 2
         assert service.metrics.counter("cache.result_misses") == 1
-        assert service.metrics.counter("cache.compile_hits") == 0
-        assert service.metrics.counter("cache.compile_misses") == 1
         assert results[1].plan == results[0].plan
         assert results[2].plan == results[0].plan
 
@@ -573,7 +581,7 @@ class TestCoalescing:
             scheduler.run(self.slow_requests(mqo_problem, 4))
             stats = scheduler.stats()
         coalesce = stats["scheduler"]["coalesce"]
-        assert coalesce["enabled"] is True
+        assert set(coalesce) == {"hits", "misses", "hit_rate"}
         assert coalesce["hits"] == 3
         assert coalesce["misses"] == 1
         assert coalesce["hit_rate"] == pytest.approx(0.75)
@@ -591,15 +599,6 @@ class TestCoalescing:
             assert result.energy == primary.energy
             assert result.served_by == primary.served_by
             assert result.stage_trace == primary.stage_trace
-
-    def test_coalescing_can_be_disabled(self, mqo_problem):
-        service = OptimizationService(seed=0)
-        with BatchScheduler(service, workers=1, coalesce=False) as scheduler:
-            scheduler.run(self.slow_requests(mqo_problem, 3))
-            stats = scheduler.stats()
-        assert stats["scheduler"]["coalesce"]["enabled"] is False
-        assert stats["scheduler"]["coalesce"]["hits"] == 0
-        assert service.metrics.counter("requests_total") == 3
 
     def test_different_content_never_coalesces(self):
         requests = [
@@ -631,7 +630,7 @@ class TestCoalescing:
 
 
 # ----------------------------------------------------------------------
-# Mergeable metric/cache state (the cross-process aggregation substrate)
+# Mergeable metric state (the cross-process aggregation substrate)
 # ----------------------------------------------------------------------
 class TestMergeableState:
     def test_merged_percentiles_are_exact(self):
@@ -682,30 +681,3 @@ class TestMergeableState:
         metrics.reset()
         assert metrics.snapshot() == {"counters": {}, "histograms": {}}
 
-    def test_cache_stats_merge_recomputes_hit_rate(self):
-        from repro.service.cache import merge_cache_stats
-
-        merged = merge_cache_stats(
-            [
-                {"compiled": {"size": 2, "capacity": 4, "hits": 8, "misses": 2}},
-                {"compiled": {"size": 1, "capacity": 4, "hits": 2, "misses": 8}},
-            ]
-        )
-        assert merged["compiled"]["hits"] == 10
-        assert merged["compiled"]["misses"] == 10
-        assert merged["compiled"]["hit_rate"] == pytest.approx(0.5)
-        assert merged["compiled"]["size"] == 3
-        assert merged["compiled"]["capacity"] == 8
-
-    def test_cache_reset_counters_keeps_entries(self, mqo_problem):
-        service = OptimizationService(seed=0)
-        service.optimize(mqo_request(mqo_problem))
-        service.optimize(mqo_request(mqo_problem, request_id="r2"))
-        assert service.cache.stats()["compiled"]["hits"] >= 1
-        service.cache.reset_counters()
-        stats = service.cache.stats()
-        assert stats["compiled"]["hits"] == 0 and stats["compiled"]["misses"] == 0
-        assert stats["compiled"]["size"] >= 1  # warm entries survive
-        # and the surviving entry still answers
-        service.optimize(mqo_request(mqo_problem, request_id="r3"))
-        assert service.cache.stats()["compiled"]["hits"] == 1

@@ -423,18 +423,16 @@ class TestServing:
         assert first.cost == second.cost
         assert first.energy == second.energy
 
-    def test_compile_cache_hit_on_equivalent_query(self):
+    def test_equivalent_query_serves_same_plan(self):
         from repro.service import OptimizationService
 
         service = OptimizationService(seed=3)
         first = service.optimize(self._request())
-        # textually different, same derived graph → same compiled entry
-        # and solve seed, so the re-solve serves the same plan
+        # textually different, same derived graph → same fingerprint and
+        # solve seed, so the re-solve serves the same plan
         second = service.optimize(
             self._request(sql=_JOIN3.replace("SELECT *", "SELECT   *"))
         )
-        assert service.metrics.counter("cache.compile_hits") == 1
-        assert service.metrics.counter("cache.compile_misses") == 1
         assert (second.plan, second.cost) == (first.plan, first.cost)
 
     def test_request_round_trip_through_json(self):
