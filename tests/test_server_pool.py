@@ -283,9 +283,7 @@ class ResultCacheContract:
             scheduler.submit(request)
 
     def test_capacity_is_result_capacity_with_lru_eviction(self, monkeypatch):
-        from repro.service import core
-
-        monkeypatch.setattr(core, "RESULT_CAPACITY", 2)
+        monkeypatch.setattr("repro.service.core.RESULT_CAPACITY", 2)
         a, b, c = (mqo_request(name, seed=410 + i) for i, name in enumerate("abc"))
         with self.scheduler() as scheduler:
             for request in (a, b, a, c):  # a refreshed, so c evicts b
